@@ -10,9 +10,6 @@ without trusting the devices, up to local unitaries.
 from magicwit.algebra import (
     TOL_MAT,
     clock_matrix,
-    displacement,
-    field_inverse,
-    is_hermitian,
     is_prime,
     is_unitary,
     kron,
@@ -37,7 +34,6 @@ from magicwit.graphs import (
     ClusterFamily,
     OrbitCatalog,
     cluster_representatives,
-    direct_sum,
     enumerate_classes,
     l_move,
     lc_orbit,
@@ -61,7 +57,6 @@ from magicwit.states import (
     build_graph_state,
     build_graph_state_by_gates,
     cp_gate,
-    expectation,
     plus_state,
     reduced_purity,
     stabilizer_generators,

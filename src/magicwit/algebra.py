@@ -12,7 +12,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-# Max-abs entrywise tolerance for matrix predicates (unitarity, hermiticity).
+# Max-abs entrywise tolerance for the unitarity predicate.
 TOL_MAT = 1e-10
 
 
@@ -35,20 +35,6 @@ def require_prime(d) -> int:
     return int(d)
 
 
-def field_inverse(x: int, d: int) -> int:
-    """Multiplicative inverse of x modulo the prime d."""
-    require_prime(d)
-    x = x % d
-    if x == 0:
-        raise ValueError("0 is not invertible")
-    return pow(x, d - 2, d)
-
-
-def omega(d: int) -> complex:
-    """Primitive d-th root of unity exp(2*pi*i/d)."""
-    return complex(np.exp(2j * np.pi / d))
-
-
 def shift_matrix(d: int) -> np.ndarray:
     """Generalized X on C^d: X|j> = |j+1 mod d>."""
     require_prime(d)
@@ -61,29 +47,6 @@ def clock_matrix(d: int) -> np.ndarray:
     """Generalized Z on C^d: Z|j> = omega^j |j>."""
     require_prime(d)
     return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-
-
-def displacement(d: int, a1: int, a2: int) -> np.ndarray:
-    """Displacement operator omega^{-a1*a2/2} X^a1 Z^a2.
-
-    The half power in the phase is resolved as i^(-a1*a2) for d = 2 and
-    through the field inverse of 2 for odd d.  For odd d the operator is
-    d-periodic in (a1, a2); for d = 2 the phase factor makes it 4-periodic,
-    so the indices are kept as plain integers rather than reduced mod 2.
-    """
-    require_prime(d)
-    x = np.linalg.matrix_power(shift_matrix(d), a1 % d)
-    z = np.linalg.matrix_power(clock_matrix(d), a2 % d)
-    if d == 2:
-        ph = 1j ** ((-a1 * a2) % 4)
-    else:
-        ph = np.exp(-2j * np.pi * ((a1 * a2 * field_inverse(2, d)) % d) / d)
-    return ph * (x @ z)
-
-
-def symplectic(a: Sequence[int], b: Sequence[int]) -> int:
-    """Symplectic inner product a1*b2 - a2*b1 of two index pairs."""
-    return a[0] * b[1] - a[1] * b[0]
 
 
 def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -102,7 +65,3 @@ def is_unitary(m: np.ndarray, tol: float = TOL_MAT) -> bool:
         return False
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
 
-
-def is_hermitian(m: np.ndarray, tol: float = TOL_MAT) -> bool:
-    m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - m.conj().T)) <= tol)

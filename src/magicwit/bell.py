@@ -97,10 +97,15 @@ def _outcome_kernels(outcomes: Sequence[int], sign: float) -> list[np.ndarray]:
     ]
 
 
+def apply_site(t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
+    """Contract m[a, j] with axis `axis` of t, keeping the axis in place."""
+    return np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
+
+
 def _contract_outcomes(table: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
     out = np.asarray(table, dtype=complex)
     for axis, ker in enumerate(kernels):
-        out = np.moveaxis(np.tensordot(ker, out, axes=([1], [axis])), 0, axis)
+        out = apply_site(out, ker, axis)
     return out
 
 
@@ -123,6 +128,21 @@ def evaluate(ineq: BellInequality, p: Behavior) -> float:
     return float(np.sum(ineq.coeffs * p.table))
 
 
+def born_probabilities(psi_t: np.ndarray, bases):
+    """Yield (xs, |<a|psi>|^2 over outcomes a) for every setting tuple xs.
+
+    The unchecked Born-rule kernel: `psi_t` is the state reshaped to one
+    axis per party and bases[i][x] a complex unitary, one column per
+    outcome.  `behavior_from_state` validates its input and calls this;
+    the see-saw objective calls it directly.
+    """
+    for xs in itertools.product(*(range(len(per)) for per in bases)):
+        amp = psi_t
+        for i, x in enumerate(xs):
+            amp = apply_site(amp, bases[i][x].conj().T, i)
+        yield xs, np.abs(amp) ** 2
+
+
 def behavior_from_state(state, measurements) -> Behavior:
     """Born-rule behavior of projective measurements on a pure state.
 
@@ -131,30 +151,22 @@ def behavior_from_state(state, measurements) -> Behavior:
     (complete, orthogonal rank-1 projectors).
     """
     psi = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
-    outcomes = []
-    settings = []
+    bases = []
     for i, per_setting in enumerate(measurements):
         if len(per_setting) == 0:
             raise ValueError(f"party {i} has no settings")
-        for x, v in enumerate(per_setting):
-            v = np.asarray(v)
+        per = [np.asarray(v, dtype=complex) for v in per_setting]
+        for x, v in enumerate(per):
             if not is_unitary(v, 1e-8):
                 raise ValueError(f"measurement for party {i} setting {x} is not projective")
-        outcomes.append(np.asarray(per_setting[0]).shape[0])
-        settings.append(len(per_setting))
-    outcomes = tuple(outcomes)
-    settings = tuple(settings)
+        bases.append(per)
+    outcomes = tuple(per[0].shape[0] for per in bases)
+    settings = tuple(len(per) for per in bases)
     if psi.shape != (int(np.prod(outcomes)),):
         raise ValueError("state dimension does not match the measurement register")
-    t = psi.reshape(outcomes)
-    n = len(outcomes)
     table = np.empty(outcomes + settings)
-    for xs in itertools.product(*(range(m) for m in settings)):
-        amp = t
-        for i, x in enumerate(xs):
-            v = np.asarray(measurements[i][x], dtype=complex)
-            amp = np.moveaxis(np.tensordot(v.conj().T, amp, axes=([1], [i])), 0, i)
-        table[(slice(None),) * n + xs] = np.abs(amp) ** 2
+    for xs, probs in born_probabilities(psi.reshape(outcomes), bases):
+        table[(slice(None),) * len(outcomes) + xs] = probs
     return Behavior(outcomes, settings, table)
 
 

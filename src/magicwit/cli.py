@@ -70,6 +70,10 @@ def _cfg_echo(cfg: optimize.OptimizerConfig) -> dict:
     return {"seed": cfg.seed, "restarts": cfg.restarts, "tol": cfg.tol, "jobs": cfg.jobs}
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_inequality_file(path: str) -> bell.BellInequality:
     """Read a coefficient file: parties, outcomes, settings, sparse coefficients."""
     try:
@@ -79,27 +83,38 @@ def load_inequality_file(path: str) -> bell.BellInequality:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     for field in ("parties", "outcomes", "settings", "coefficients"):
         if field not in data:
             raise ValueError(f"{path}: missing field {field!r}")
     parties = data["parties"]
+    if not _is_int(parties) or parties < 1:
+        raise ValueError(f"{path}: field 'parties' must be a positive integer")
+    for field in ("outcomes", "settings"):
+        counts = data[field]
+        if not isinstance(counts, list) or len(counts) != parties:
+            raise ValueError(f"{path}: 'outcomes' and 'settings' must list {parties} entries")
+        if not all(_is_int(c) and c >= 1 for c in counts):
+            raise ValueError(f"{path}: field {field!r} must list positive integers")
     outcomes = tuple(data["outcomes"])
     settings = tuple(data["settings"])
-    if not isinstance(parties, int) or parties < 1:
-        raise ValueError(f"{path}: field 'parties' must be a positive integer")
-    if len(outcomes) != parties or len(settings) != parties:
-        raise ValueError(f"{path}: 'outcomes' and 'settings' must list {parties} entries")
+    records = data["coefficients"]
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError(f"{path}: field 'coefficients' must be a list of objects")
     coeffs = np.zeros(outcomes + settings)
     seen = set()
-    for idx, rec in enumerate(data["coefficients"]):
+    for idx, rec in enumerate(records):
         where = f"{path}: coefficients[{idx}]"
         for field in ("a", "x", "value"):
             if field not in rec:
                 raise ValueError(f"{where}: missing field {field!r}")
-        a = tuple(rec["a"])
-        x = tuple(rec["x"])
-        if len(a) != parties or len(x) != parties:
+        a, x = rec["a"], rec["x"]
+        if not (isinstance(a, list) and isinstance(x, list) and len(a) == len(x) == parties):
             raise ValueError(f"{where}: 'a' and 'x' must list {parties} indices")
+        if not all(_is_int(i) for i in a + x):
+            raise ValueError(f"{where}: indices in 'a' and 'x' must be integers")
+        a, x = tuple(a), tuple(x)
         for i, (ai, di) in enumerate(zip(a, outcomes)):
             if not 0 <= ai < di:
                 raise ValueError(f"{where}: outcome index {ai} out of range for party {i}")
@@ -109,7 +124,10 @@ def load_inequality_file(path: str) -> bell.BellInequality:
         if (a, x) in seen:
             raise ValueError(f"{where}: duplicate entry for a={list(a)}, x={list(x)}")
         seen.add((a, x))
-        coeffs[a + x] = float(rec["value"])
+        try:
+            coeffs[a + x] = float(rec["value"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: 'value' must be a number") from exc
     return bell.BellInequality(outcomes, settings, coeffs, name=data.get("name", path))
 
 
@@ -169,13 +187,12 @@ def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
     ineq = _resolve_inequality(args)
     cfg = _config(args)
-    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else ineq.outcomes
     out: dict = {"name": ineq.name}
     which = args.which
     if which in ("local", "all"):
-        out["local"] = bell.local_bound(ineq, cfg.strategy_budget)
+        out["local"] = bell.local_bound(ineq)
     if which in ("stab", "all"):
-        out["stabilizer"] = optimize.stabilizer_value(ineq, cfg, dims).value
+        out["stabilizer"] = optimize.stabilizer_value(ineq, cfg).value
     if which in ("quantum", "all"):
         out["quantum"] = optimize.quantum_value(ineq, cfg).value
     if "stabilizer" in out and "quantum" in out:
@@ -266,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help=f"catalog name ({', '.join(CATALOG)}) or JSON file path")
     p.add_argument("--alpha", type=float, default=0.0, help="tilting parameter for tilted-chsh")
     p.add_argument("--d", type=int, default=3, help="outcome count for cglmp")
-    p.add_argument("--dims", default=None, help="stabilizer register, e.g. 2,3 (default: outcomes)")
     p.add_argument("--which", choices=("local", "stab", "quantum", "all"), default="all")
     _add_optimizer_flags(p)
     p.set_defaults(fn=cmd_bounds)

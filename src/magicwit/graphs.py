@@ -159,17 +159,6 @@ def enumerate_classes(n: int, d: int, budget: int = DEFAULT_ENUM_BUDGET) -> Orbi
     return OrbitCatalog(n=n, d=d, representatives=tuple(reps), orbit_sizes=tuple(sizes))
 
 
-def direct_sum(a: AdjacencyMatrix, b: AdjacencyMatrix) -> AdjacencyMatrix:
-    """Block-diagonal join of two graphs over the same field."""
-    if a.d != b.d:
-        raise ValueError("direct_sum needs matching field moduli")
-    n = a.n + b.n
-    out = np.zeros((n, n), dtype=np.int64)
-    out[: a.n, : a.n] = a.entries
-    out[a.n :, a.n :] = b.entries
-    return AdjacencyMatrix(a.d, out)
-
-
 @dataclass(frozen=True)
 class ClusterBlock:
     """All parties sharing one local dimension, with their orbit catalog."""

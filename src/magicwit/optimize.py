@@ -24,6 +24,7 @@ independent of the worker count.
 from __future__ import annotations
 
 import itertools
+import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,8 +45,7 @@ class OptimizerConfig:
     """Knobs for the multi-restart see-saw.
 
     `tol` is the absolute objective change below which a restart stops.
-    The budgets guard the class enumeration and the deterministic-strategy
-    enumeration reached through this module.
+    `jobs` is an upper bound on the worker processes; see `_run_tasks`.
     """
 
     restarts: int = 64
@@ -53,8 +53,6 @@ class OptimizerConfig:
     tol: float = 1e-9
     seed: int = 0
     jobs: int = 1
-    class_budget: int = graphs.DEFAULT_ENUM_BUDGET
-    strategy_budget: int = bell.DEFAULT_STRATEGY_BUDGET
 
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.max_iters < 1 or self.jobs < 1:
@@ -67,8 +65,16 @@ class OptimizerConfig:
 class OptimizationReport:
     """Best value found, with the argmax and per-restart telemetry.
 
-    `value` is recomputed from the reported measurements and state through
-    the Born-rule pipeline, so it is independently checkable.
+    `value` is re-evaluated from the frozen measurements and state through
+    `bell.behavior_from_state`, which shares its Born-rule kernel with the
+    see-saw objective.  The independent check is a single-`einsum`
+    contraction: `born_value` in the benchmark's oracles and the Born-rule
+    test in tests/test_bell.py.
+
+    `class_values` (stabilizer reports only) holds the best value found per
+    graph-state class at the configured restarts.  Each entry is a lower
+    bound on that class's maximum, not the maximum itself: a class whose
+    optimum only a few restarts reach can report less at another seed.
     """
 
     value: float
@@ -90,19 +96,11 @@ class OptimizationReport:
 # ---------------------------------------------------------------------------
 
 
-def _apply_site(t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    """Contract m[a, j] with ket axis `axis` of t, keeping the axis in place."""
-    return np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
-
-
-def _objective(psi_t, bases, coeffs, settings) -> float:
-    n = len(settings)
+def _objective(psi_t, bases, coeffs) -> float:
+    n = psi_t.ndim
     total = 0.0
-    for xs in itertools.product(*(range(m) for m in settings)):
-        amp = psi_t
-        for i, x in enumerate(xs):
-            amp = _apply_site(amp, bases[i][x].conj().T, i)
-        total += float(np.sum(coeffs[(slice(None),) * n + xs] * np.abs(amp) ** 2))
+    for xs, probs in bell.born_probabilities(psi_t, bases):
+        total += float(np.sum(coeffs[(slice(None),) * n + xs] * probs))
     return total
 
 
@@ -119,7 +117,7 @@ def _environments(psi_t, bases, coeffs, settings, party, setting) -> np.ndarray:
     for xr in itertools.product(*(range(settings[j]) for j in others)):
         t = psi_t
         for j, xj in zip(others, xr):
-            t = _apply_site(t, bases[j][xj].conj().T, j)
+            t = bell.apply_site(t, bases[j][xj].conj().T, j)
         cvecs = np.moveaxis(t, party, -1).reshape(-1, d)
         xs = [0] * n
         for j, xj in zip(others, xr):
@@ -142,12 +140,6 @@ def _basis_from_bloch(u: np.ndarray) -> np.ndarray:
     op = u[0] * PAULI[0] + u[1] * PAULI[1] + u[2] * PAULI[2]
     _, vecs = np.linalg.eigh(op)
     return vecs[:, ::-1].copy()
-
-
-def bloch_vector(basis: np.ndarray) -> np.ndarray:
-    """Unit Bloch vector of a qubit basis (column 0 carries outcome 0)."""
-    a = basis @ np.diag([1.0, -1.0]) @ basis.conj().T
-    return np.array([0.5 * np.trace(s @ a).real for s in PAULI])
 
 
 def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -188,7 +180,7 @@ def _sweep_measurements(psi_t, bases, coeffs, settings, trace) -> None:
                     bases[i][s] = _basis_from_bloch(v / nv)
             else:
                 bases[i][s] = _basis_update(env, bases[i][s])
-            val = _objective(psi_t, bases, coeffs, settings)
+            val = _objective(psi_t, bases, coeffs)
             assert val >= trace[-1] - 1e-9 * (1.0 + abs(trace[-1])), "see-saw step decreased"
             trace.append(val)
 
@@ -248,7 +240,7 @@ def _fixed_state_task(args):
     rng = np.random.default_rng(seed_seq)
     psi_t = psi.reshape(outcomes)
     bases = _init_bases(rng, outcomes, settings)
-    trace = [_objective(psi_t, bases, coeffs, settings)]
+    trace = [_objective(psi_t, bases, coeffs)]
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
@@ -268,7 +260,7 @@ def _quantum_task(args):
     psi /= np.linalg.norm(psi)
     psi_t = psi.reshape(outcomes)
     bases = _init_bases(rng, outcomes, settings)
-    trace = [_objective(psi_t, bases, coeffs, settings)]
+    trace = [_objective(psi_t, bases, coeffs)]
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
@@ -276,7 +268,7 @@ def _quantum_task(args):
         _sweep_measurements(psi_t, bases, coeffs, settings, trace)
         psi = _top_eigvec(_bell_operator(bases, coeffs, outcomes, settings))
         psi_t = psi.reshape(outcomes)
-        val = _objective(psi_t, bases, coeffs, settings)
+        val = _objective(psi_t, bases, coeffs)
         assert val >= trace[-1] - 1e-9 * (1.0 + abs(trace[-1])), "state step decreased"
         trace.append(val)
         if trace[-1] - before < tol:
@@ -286,9 +278,13 @@ def _quantum_task(args):
 
 
 def _run_tasks(fn: Callable, argslist: list, jobs: int) -> list:
-    if jobs <= 1 or len(argslist) <= 1:
+    # A pool starts all of its workers up front, so more workers than tasks
+    # or cores would only cost start-up time; results do not depend on the
+    # worker count.
+    workers = min(jobs, len(argslist), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(a) for a in argslist]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, argslist))
 
 
@@ -341,22 +337,17 @@ def optimize_measurements(
 
 
 def stabilizer_value(
-    ineq: bell.BellInequality,
-    cfg: OptimizerConfig = OptimizerConfig(),
-    dims: Sequence[int] | None = None,
+    ineq: bell.BellInequality, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptimizationReport:
-    """Maximum Bell value over stabilizer states of the given register.
+    """Maximum Bell value over stabilizer states of the inequality's register.
 
-    Optimizes the measurements on one graph-state representative per local
-    class (direct sums of per-cluster orbit representatives) and returns the
-    best, together with the achieving class.
+    d-outcome projective measurements act on C^d, so the register is pinned
+    party by party to the outcome counts.  Optimizes the measurements on one
+    graph-state representative per local class (direct sums of per-cluster
+    orbit representatives) and returns the best, together with the
+    achieving class and the per-class values.
     """
-    dims = tuple(dims) if dims is not None else ineq.outcomes
-    if dims != ineq.outcomes:
-        # d-outcome projective measurements act on C^d, so the register is
-        # pinned party by party; an explicit dims argument only re-states it.
-        raise ValueError("stabilizer register must match the inequality outcomes")
-    family = graphs.cluster_representatives(dims, cfg.class_budget)
+    family = graphs.cluster_representatives(ineq.outcomes)
     class_seeds = np.random.SeedSequence(cfg.seed).spawn(family.count())
     best_report = None
     best_assignment = None
@@ -388,9 +379,7 @@ def stabilizer_value(
 
 
 def quantum_value(
-    ineq: bell.BellInequality,
-    cfg: OptimizerConfig = OptimizerConfig(),
-    dims: Sequence[int] | None = None,
+    ineq: bell.BellInequality, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptimizationReport:
     """Maximum Bell value over all states of the fixed register.
 
@@ -398,9 +387,6 @@ def quantum_value(
     lower bound on the maximum over arbitrary Hilbert spaces: the register
     is pinned to one copy of each party's outcome dimension.
     """
-    dims = tuple(dims) if dims is not None else ineq.outcomes
-    if dims != ineq.outcomes:
-        raise ValueError("quantum register must match the inequality outcomes")
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     args = [
         (ineq.coeffs, ineq.outcomes, ineq.settings, cfg.max_iters, cfg.tol, s)
@@ -445,7 +431,7 @@ def gap_scan(
     rows = []
     for p in params:
         ineq = family(p)
-        loc = bell.local_bound(ineq, cfg.strategy_budget)
+        loc = bell.local_bound(ineq)
         stab = stabilizer_value(ineq, cfg).value
         quant = quantum_value(ineq, cfg).value
         rows.append(ScanRow(float(p), loc, stab, quant, quant - stab))

@@ -126,21 +126,6 @@ def stabilizer_generators(a: AdjacencyMatrix) -> StabilizerGenerators:
     return StabilizerGenerators(dims=(d,) * n, factors=tuple(gens))
 
 
-def _amplitudes(state) -> np.ndarray:
-    return np.asarray(getattr(state, "amplitudes", state), dtype=complex)
-
-
-def expectation(state, observable: np.ndarray) -> complex:
-    """<psi|O|psi> for a state vector or GraphState."""
-    psi = _amplitudes(state)
-    obs = np.asarray(observable, dtype=complex)
-    if obs.shape != (psi.size, psi.size):
-        raise ValueError(
-            f"observable shape {obs.shape} does not match state size {psi.size}"
-        )
-    return complex(np.vdot(psi, obs @ psi))
-
-
 def reduced_purity(state, keep: Sequence[int], dims: Sequence[int] | None = None) -> float:
     """tr(rho^2) of the reduced state on the `keep` sites.
 
@@ -152,7 +137,7 @@ def reduced_purity(state, keep: Sequence[int], dims: Sequence[int] | None = None
         if dims is None:
             raise ValueError("register dims required for a bare state vector")
     dims = tuple(int(x) for x in dims)
-    psi = _amplitudes(state)
+    psi = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
     n = len(dims)
     keep = tuple(sorted(set(int(k) for k in keep)))
     if not keep or len(keep) == n or any(k < 0 or k >= n for k in keep):

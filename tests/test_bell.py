@@ -138,6 +138,31 @@ def test_behavior_from_state_chsh_optimal_angles():
     assert evaluate(catalog_tilted_chsh(0.0), p) == pytest.approx(2 * np.sqrt(2))
 
 
+def _random_unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+@pytest.mark.parametrize("outcomes", [(2, 2), (3, 3), (2, 3), (2, 2, 2)])
+def test_behavior_from_state_matches_one_einsum(outcomes):
+    # Independent of the looped kernel: one einsum contracts the state with
+    # every party's stacked bases, p[a, x] = |<a_x|psi>|^2.
+    rng = np.random.default_rng(sum(outcomes))
+    settings = (2, 3, 2)[: len(outcomes)]
+    for _ in range(5):
+        psi = rng.standard_normal(np.prod(outcomes)) + 1j * rng.standard_normal(np.prod(outcomes))
+        psi /= np.linalg.norm(psi)
+        bases = [[_random_unitary(rng, d) for _ in range(m)] for d, m in zip(outcomes, settings)]
+        n = len(outcomes)
+        kets, sets, outs = "abc"[:n], "def"[:n], "ghi"[:n]
+        spec = ",".join([kets] + [sets[i] + kets[i] + outs[i] for i in range(n)])
+        stacks = [np.conj(np.stack(per)) for per in bases]
+        amp = np.einsum(f"{spec}->{outs}{sets}", psi.reshape(outcomes), *stacks)
+        p = behavior_from_state(psi, bases)
+        assert p.outcomes == outcomes and p.settings == settings
+        assert np.max(np.abs(p.table - np.abs(amp) ** 2)) <= 1e-12
+
+
 def test_behavior_from_state_rejects_non_projective():
     skew = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError):

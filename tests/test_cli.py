@@ -174,6 +174,11 @@ def test_bounds_from_spec_file(tmp_path):
         (lambda d: d["coefficients"].append(dict(d["coefficients"][0])), "duplicate"),
         (lambda d: d["coefficients"][0].update(a=[9, 0]), "out of range"),
         (lambda d: d["coefficients"][0].update(x=[0]), "must list"),
+        (lambda d: d["coefficients"][0].update(a=[0.5, 0]), "must be integers"),
+        (lambda d: d.update(outcomes=["2", "2"]), "must list positive integers"),
+        (lambda d: d.update(coefficients=[5]), "must be a list of objects"),
+        (lambda d: d.update(coefficients={}), "must be a list of objects"),
+        (lambda d: d["coefficients"][0].update(value=None), "must be a number"),
     ],
 )
 def test_spec_file_diagnostics(tmp_path, mangle, message):
@@ -184,6 +189,7 @@ def test_spec_file_diagnostics(tmp_path, mangle, message):
     out = run_cli(["bounds", str(path), "--which", "local"])
     assert out.returncode == 2
     assert message in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_spec_file_json_parse_diagnostics(tmp_path):
@@ -233,6 +239,7 @@ def test_scan_full_grid_row_count():
 
 
 def test_bounds_spec_file_with_dims(tmp_path):
+    # The stabilizer register of a (2, 3)-outcome file is mixed qubit/qutrit.
     rng = np.random.default_rng(4)
     records = [
         {"a": [a1, a2], "x": [x1, x2], "value": float(rng.uniform(-1, 1))}
@@ -253,9 +260,7 @@ def test_bounds_spec_file_with_dims(tmp_path):
             }
         )
     )
-    out = run_cli(
-        ["bounds", str(path), "--which", "stab", "--dims", "2,3", "--restarts", "8"]
-    )
+    out = run_cli(["bounds", str(path), "--which", "stab", "--restarts", "8"])
     assert out.returncode == 0
     payload = json.loads(out.stdout)
     local = json.loads(run_cli(["bounds", str(path), "--which", "local"]).stdout)["local"]

@@ -5,7 +5,6 @@ from magicwit.errors import ResourceLimitError
 from magicwit.graphs import (
     AdjacencyMatrix,
     cluster_representatives,
-    direct_sum,
     enumerate_classes,
     l_move,
     lc_orbit,
@@ -131,16 +130,6 @@ def test_enumerate_classes_deterministic_and_lex_minimal():
 def test_enumerate_classes_budget():
     with pytest.raises(ResourceLimitError):
         enumerate_classes(8, 2, budget=1000)
-
-
-def test_direct_sum_blocks():
-    a = adj(2, 2, [(0, 1, 1)])
-    b = adj(2, 1, [])
-    s = direct_sum(a, b)
-    assert s.n == 3
-    assert s.edges() == [(0, 1, 1)]
-    with pytest.raises(ValueError):
-        direct_sum(a, adj(3, 1, []))
 
 
 @pytest.mark.parametrize(

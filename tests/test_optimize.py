@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magicwit import optimize
 from magicwit.bell import (
     behavior_from_state,
     catalog_cglmp,
@@ -12,7 +13,6 @@ from magicwit.bell import (
 from magicwit.graphs import AdjacencyMatrix
 from magicwit.optimize import (
     OptimizerConfig,
-    bloch_vector,
     gap_scan,
     optimize_measurements,
     quantum_value,
@@ -91,8 +91,10 @@ def test_measurements_are_qubit_observables():
     rep = optimize_measurements(catalog_tilted_chsh(0.0), edge_state(), CFG)
     for per_party in rep.measurements:
         for basis in per_party:
-            u = bloch_vector(basis)
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-10)
+            # A +-1 observable with a unit Bloch vector: traceless, squares to 1.
+            obs = basis @ np.diag([1.0, -1.0]) @ basis.conj().T
+            assert abs(np.trace(obs)) <= 1e-10
+            assert np.max(np.abs(obs @ obs - np.eye(2))) <= 1e-10
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.83, 1.5])
@@ -169,6 +171,37 @@ def test_reproducibility_and_worker_independence():
     assert r1.restart_values == r3.restart_values
 
 
+def test_worker_pool_is_capped_by_tasks_and_cores(monkeypatch):
+    # The fake pool records its size and starts no process.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(optimize.os, "cpu_count", lambda: 4)
+    ineq = catalog_tilted_chsh(0.4)
+    serial = quantum_value(ineq, OptimizerConfig(restarts=3, seed=7))
+    capped = quantum_value(ineq, OptimizerConfig(restarts=3, seed=7, jobs=10**6))
+    assert sizes == [3]
+    assert capped.restart_values == serial.restart_values
+    quantum_value(ineq, OptimizerConfig(restarts=9, seed=7, jobs=10**6))
+    assert sizes == [3, 4]
+    monkeypatch.setattr(optimize.os, "cpu_count", lambda: None)
+    quantum_value(ineq, OptimizerConfig(restarts=3, seed=7, jobs=10**6))
+    assert sizes == [3, 4]  # an unknown core count runs serially
+
+
 def test_seed_changes_restart_stream():
     ineq = catalog_tilted_chsh(0.4)
     r1 = quantum_value(ineq, OptimizerConfig(restarts=4, seed=1))
@@ -179,13 +212,6 @@ def test_seed_changes_restart_stream():
 def test_state_dimension_guard():
     with pytest.raises(ValueError):
         optimize_measurements(catalog_tilted_chsh(0.0), np.ones(3) / np.sqrt(3), CFG)
-
-
-def test_dims_override_must_match_outcomes():
-    with pytest.raises(ValueError):
-        stabilizer_value(catalog_tilted_chsh(0.0), CFG, dims=(2, 3))
-    with pytest.raises(ValueError):
-        quantum_value(catalog_tilted_chsh(0.0), CFG, dims=(2, 3))
 
 
 def test_non_convergence_is_flagged_but_returns_value():

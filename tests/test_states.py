@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from magicwit.algebra import kron, omega
+from magicwit.algebra import kron
 from magicwit.graphs import (
     AdjacencyMatrix,
     cluster_representatives,
-    direct_sum,
     enumerate_classes,
 )
 from magicwit.states import (
@@ -14,7 +13,6 @@ from magicwit.states import (
     build_graph_state,
     build_graph_state_by_gates,
     cp_gate,
-    expectation,
     plus_state,
     reduced_purity,
     stabilizer_generators,
@@ -125,38 +123,17 @@ def test_generators_fix_graph_states(n, d):
 
 
 def test_tensor_split_of_direct_sums():
+    # A block-diagonal graph's state is the kron of its blocks' states, which
+    # assemble_cluster_state relies on.
     rng = np.random.default_rng(12)
     for d in (2, 3):
         a = random_adjacency(rng, 2, d)
         b = random_adjacency(rng, 2, d)
-        joined = build_graph_state(direct_sum(a, b)).amplitudes
+        block = np.zeros((4, 4), dtype=int)
+        block[:2, :2], block[2:, 2:] = a.entries, b.entries
+        joined = build_graph_state(AdjacencyMatrix(d, block)).amplitudes
         split = np.kron(build_graph_state(a).amplitudes, build_graph_state(b).amplitudes)
         assert np.max(np.abs(joined - split)) <= 1e-12
-
-
-def test_expectation_examples():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    eye = np.eye(2)
-    plus = plus_state(2)
-    assert expectation(plus, x) == pytest.approx(1.0)
-    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert expectation(bell, kron([z, z])) == pytest.approx(1.0)
-    assert expectation(bell, kron([z, eye])) == pytest.approx(0.0)
-    ghz = np.zeros(8, dtype=complex)
-    ghz[0] = ghz[7] = 1 / np.sqrt(2)
-    assert expectation(ghz, kron([x, x, x])) == pytest.approx(1.0)
-
-
-def test_expectation_shape_guard():
-    with pytest.raises(ValueError):
-        expectation(np.array([1.0, 0.0]), np.eye(3))
-
-
-def test_graph_state_expectation_uses_amplitudes():
-    gs = build_graph_state(adj(2, 2, [(0, 1, 1)]))
-    gen = stabilizer_generators(adj(2, 2, [(0, 1, 1)])).matrices()[0]
-    assert expectation(gs, gen) == pytest.approx(1.0)
 
 
 def test_reduced_purity_bell_pair():
