@@ -2,7 +2,7 @@
 
 Payload goes to stdout (JSON or CSV, byte-stable for a fixed seed); a run
 manifest with timing goes to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 user error, 3 resource limit exceeded.
+failure or failed see-saw self-check, 2 user error, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 import magicwit
 from magicwit import bell, graphs, optimize, verify
-from magicwit.errors import ResourceLimitError
+from magicwit.errors import InvariantError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT

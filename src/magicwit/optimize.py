@@ -27,11 +27,12 @@ import itertools
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from magicwit import bell, graphs, states
+from magicwit import algebra, bell, graphs, states
+from magicwit.errors import require
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -82,12 +83,10 @@ class OptimizationReport:
     state: np.ndarray
     state_label: str
     best_class: object
-    best_restart: int
     restart_values: tuple[float, ...]
     iterations: int
     converged: bool
     trace: tuple[float, ...]
-    seed: int
     class_values: tuple[float, ...] = ()
 
 
@@ -119,11 +118,8 @@ def _environments(psi_t, bases, coeffs, settings, party, setting) -> np.ndarray:
         for j, xj in zip(others, xr):
             t = bell.apply_site(t, bases[j][xj].conj().T, j)
         cvecs = np.moveaxis(t, party, -1).reshape(-1, d)
-        xs = [0] * n
-        for j, xj in zip(others, xr):
-            xs[j] = xj
-        xs[party] = setting
-        w = coeffs[(slice(None),) * n + tuple(xs)]
+        xs = xr[:party] + (setting,) + xr[party:]
+        w = coeffs[(slice(None),) * n + xs]
         w = np.moveaxis(w, party, 0).reshape(d, -1)
         b += np.einsum("ar,rp,rq->apq", w, cvecs, cvecs.conj())
     return b
@@ -147,23 +143,24 @@ def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Shifts the outcome operators positive semidefinite, maximizes the
     linearized cross term over unitaries via the SVD, then searches the d
-    cyclic relabelings of the eigenvalue assignment.
+    cyclic relabelings t, scored by sum_a G[a, (a + t) mod d] with
+    G[a, c] = <v_c|B_a|v_c>; ties go to the smallest t.
     """
     d = v.shape[0]
-    lam = min(np.linalg.eigvalsh(bh[a]).min() for a in range(d))
-    w = np.column_stack([(bh[a] - lam * np.eye(d)) @ v[:, a] for a in range(d)])
+    lam = np.linalg.eigvalsh(bh).min()
+    w = np.einsum("apq,qa->pa", bh, v) - lam * v
     p, _, qh = np.linalg.svd(w)
     vnew = p @ qh
-    best, best_t = -np.inf, 0
-    for t in range(d):
-        cols = (np.arange(d) + t) % d
-        s = sum(
-            np.real(vnew[:, cols[a]].conj() @ (bh[a] @ vnew[:, cols[a]])) for a in range(d)
-        )
-        if s > best:
-            best, best_t = s, t
-    cols = (np.arange(d) + best_t) % d
-    return vnew[:, cols]
+    g = np.einsum("pc,apq,qc->ac", vnew.conj(), bh, vnew).real
+    a = np.arange(d)
+    cols = (a[None, :] + a[:, None]) % d
+    return vnew[:, cols[np.argmax(g[a, cols].sum(axis=1))]]
+
+
+def _ascend(trace: list, val: float, step: str) -> None:
+    """Append a see-saw value after checking that `step` did not lower it."""
+    require(val >= trace[-1] - 1e-9 * (1.0 + abs(trace[-1])), f"see-saw {step} decreased")
+    trace.append(val)
 
 
 def _sweep_measurements(psi_t, bases, coeffs, settings, trace) -> None:
@@ -180,9 +177,7 @@ def _sweep_measurements(psi_t, bases, coeffs, settings, trace) -> None:
                     bases[i][s] = _basis_from_bloch(v / nv)
             else:
                 bases[i][s] = _basis_update(env, bases[i][s])
-            val = _objective(psi_t, bases, coeffs)
-            assert val >= trace[-1] - 1e-9 * (1.0 + abs(trace[-1])), "see-saw step decreased"
-            trace.append(val)
+            _ascend(trace, _objective(psi_t, bases, coeffs), "step")
 
 
 def _random_basis(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -210,19 +205,13 @@ def _init_bases(rng, outcomes, settings):
 
 
 def _bell_operator(bases, coeffs, outcomes, settings) -> np.ndarray:
+    """sum_xs K diag(w_xs) K^dagger, K = kron of the bases (row-major outcome columns)."""
     dim = int(np.prod(outcomes))
     op = np.zeros((dim, dim), dtype=complex)
     n = len(outcomes)
     for xs in itertools.product(*(range(m) for m in settings)):
-        w = coeffs[(slice(None),) * n + xs]
-        for outs in itertools.product(*(range(d) for d in outcomes)):
-            cval = w[outs]
-            if cval == 0.0:
-                continue
-            vec = bases[0][xs[0]][:, outs[0]]
-            for i in range(1, n):
-                vec = np.kron(vec, bases[i][xs[i]][:, outs[i]])
-            op += cval * np.outer(vec, vec.conj())
+        k = algebra.kron([bases[i][x] for i, x in enumerate(xs)])
+        op += (k * coeffs[(slice(None),) * n + xs].reshape(-1)) @ k.conj().T
     return op
 
 
@@ -235,9 +224,19 @@ def _top_eigvec(op: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vecs[:, best])
 
 
-def _fixed_state_task(args):
+def _restart_task(args):
+    """One see-saw restart from a seeded random start.
+
+    With `psi` None the state is free: it is drawn before the bases, and each
+    sweep is followed by the state step (top eigenvector of the Bell operator).
+    """
     coeffs, outcomes, settings, psi, max_iters, tol, seed_seq = args
     rng = np.random.default_rng(seed_seq)
+    free_state = psi is None
+    if free_state:
+        dim = int(np.prod(outcomes))
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi /= np.linalg.norm(psi)
     psi_t = psi.reshape(outcomes)
     bases = _init_bases(rng, outcomes, settings)
     trace = [_objective(psi_t, bases, coeffs)]
@@ -246,31 +245,10 @@ def _fixed_state_task(args):
     for iters in range(1, max_iters + 1):
         before = trace[-1]
         _sweep_measurements(psi_t, bases, coeffs, settings, trace)
-        if trace[-1] - before < tol:
-            converged = True
-            break
-    return trace[-1], bases, trace, iters, converged
-
-
-def _quantum_task(args):
-    coeffs, outcomes, settings, max_iters, tol, seed_seq = args
-    rng = np.random.default_rng(seed_seq)
-    dim = int(np.prod(outcomes))
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi /= np.linalg.norm(psi)
-    psi_t = psi.reshape(outcomes)
-    bases = _init_bases(rng, outcomes, settings)
-    trace = [_objective(psi_t, bases, coeffs)]
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        before = trace[-1]
-        _sweep_measurements(psi_t, bases, coeffs, settings, trace)
-        psi = _top_eigvec(_bell_operator(bases, coeffs, outcomes, settings))
-        psi_t = psi.reshape(outcomes)
-        val = _objective(psi_t, bases, coeffs)
-        assert val >= trace[-1] - 1e-9 * (1.0 + abs(trace[-1])), "state step decreased"
-        trace.append(val)
+        if free_state:
+            psi = _top_eigvec(_bell_operator(bases, coeffs, outcomes, settings))
+            psi_t = psi.reshape(outcomes)
+            _ascend(trace, _objective(psi_t, bases, coeffs), "state step")
         if trace[-1] - before < tol:
             converged = True
             break
@@ -288,8 +266,32 @@ def _run_tasks(fn: Callable, argslist: list, jobs: int) -> list:
         return list(ex.map(fn, argslist))
 
 
-def _freeze_bases(bases) -> tuple[tuple[np.ndarray, ...], ...]:
-    return tuple(tuple(np.asarray(v) for v in per) for per in bases)
+def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
+    """Run one see-saw per seed spawned from `root`; re-check and report the best.
+
+    The best is the highest final value, the lowest restart index on ties.
+    """
+    args = [
+        (ineq.coeffs, ineq.outcomes, ineq.settings, psi, cfg.max_iters, cfg.tol, s)
+        for s in root.spawn(cfg.restarts)
+    ]
+    results = _run_tasks(_restart_task, args, cfg.jobs)
+    values = [r[0] for r in results]
+    best = int(np.argmax(values))
+    _, bases, trace, iters, converged, psi = results[best]
+    reval = bell.evaluate(ineq, bell.behavior_from_state(psi, bases))
+    require(abs(reval - values[best]) <= 1e-8, "re-evaluation drifted from the see-saw value")
+    return OptimizationReport(
+        value=reval,
+        measurements=tuple(tuple(per) for per in bases),
+        state=psi,
+        state_label=state_label,
+        best_class=None,
+        restart_values=tuple(values),
+        iterations=iters,
+        converged=converged,
+        trace=tuple(trace),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +312,7 @@ def optimize_measurements(
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
     root = _seed_seq if _seed_seq is not None else np.random.SeedSequence(cfg.seed)
-    seeds = root.spawn(cfg.restarts)
-    args = [
-        (ineq.coeffs, ineq.outcomes, ineq.settings, psi, cfg.max_iters, cfg.tol, s)
-        for s in seeds
-    ]
-    results = _run_tasks(_fixed_state_task, args, cfg.jobs)
-    values = [r[0] for r in results]
-    best = int(np.argmax(values))
-    _, bases, trace, iters, converged = results[best]
-    reval = bell.evaluate(ineq, bell.behavior_from_state(psi, bases))
-    assert abs(reval - values[best]) <= 1e-8, "re-evaluation drifted from the see-saw value"
-    return OptimizationReport(
-        value=reval,
-        measurements=_freeze_bases(bases),
-        state=psi,
-        state_label="fixed state",
-        best_class=None,
-        best_restart=best,
-        restart_values=tuple(values),
-        iterations=iters,
-        converged=converged,
-        trace=tuple(trace),
-        seed=cfg.seed,
-    )
+    return _best_of_restarts(ineq, psi, cfg, root, "fixed state")
 
 
 def stabilizer_value(
@@ -362,18 +341,10 @@ def stabilizer_value(
     label = " (+) ".join(
         f"d={a.d} edges={a.edges() or '-'}" for a in best_assignment
     )
-    return OptimizationReport(
-        value=best_report.value,
-        measurements=best_report.measurements,
-        state=best_report.state,
+    return replace(
+        best_report,
         state_label=f"graph state [{label}]",
         best_class=best_assignment,
-        best_restart=best_report.best_restart,
-        restart_values=best_report.restart_values,
-        iterations=best_report.iterations,
-        converged=best_report.converged,
-        trace=best_report.trace,
-        seed=cfg.seed,
         class_values=tuple(class_values),
     )
 
@@ -387,30 +358,7 @@ def quantum_value(
     lower bound on the maximum over arbitrary Hilbert spaces: the register
     is pinned to one copy of each party's outcome dimension.
     """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    args = [
-        (ineq.coeffs, ineq.outcomes, ineq.settings, cfg.max_iters, cfg.tol, s)
-        for s in seeds
-    ]
-    results = _run_tasks(_quantum_task, args, cfg.jobs)
-    values = [r[0] for r in results]
-    best = int(np.argmax(values))
-    _, bases, trace, iters, converged, psi = results[best]
-    reval = bell.evaluate(ineq, bell.behavior_from_state(psi, bases))
-    assert abs(reval - values[best]) <= 1e-8, "re-evaluation drifted from the see-saw value"
-    return OptimizationReport(
-        value=reval,
-        measurements=_freeze_bases(bases),
-        state=psi,
-        state_label="optimized state",
-        best_class=None,
-        best_restart=best,
-        restart_values=tuple(values),
-        iterations=iters,
-        converged=converged,
-        trace=tuple(trace),
-        seed=cfg.seed,
-    )
+    return _best_of_restarts(ineq, None, cfg, np.random.SeedSequence(cfg.seed), "optimized state")
 
 
 @dataclass(frozen=True)

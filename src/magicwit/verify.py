@@ -1,9 +1,10 @@
 """Verification checks runnable from the CLI (`magicwit verify`) and pytest.
 
-Each check pins its tolerances and seeds, raises AssertionError on failure,
-and returns a short human-readable detail string on success.  The quick
-subset finishes in a few seconds; the full set re-derives every headline
-number of the pipeline.
+Each check pins its tolerances and seeds, raises InvariantError on failure
+(an AssertionError raised explicitly, so the checks also run under
+`python -O`) and returns a short human-readable detail string on success.
+The quick subset finishes in a few seconds; the full set re-derives every
+headline number of the pipeline.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from magicwit import bell, graphs, optimize, states
+from magicwit.errors import require
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class Check:
 
 def _elapsed_under(t0: float, limit: float, what: str) -> float:
     dt = time.perf_counter() - t0
-    assert dt < limit, f"{what} took {dt:.1f}s, limit {limit:.0f}s"
+    require(dt < limit, f"{what} took {dt:.1f}s, limit {limit:.0f}s")
     return dt
 
 
@@ -60,9 +62,11 @@ def check_orbit_counts() -> str:
     t0 = time.perf_counter()
     for n, d, classes, total in ((2, 2, 2, 2), (3, 2, 5, 8), (2, 3, 2, 3)):
         cat = graphs.enumerate_classes(n, d)
-        assert len(cat) == classes, f"(n={n}, d={d}): {len(cat)} classes, expected {classes}"
-        assert cat.total == total, f"(n={n}, d={d}): orbit sizes sum to {cat.total}, expected {total}"
-        assert cat.total == d ** (n * (n - 1) // 2)
+        require(len(cat) == classes, f"(n={n}, d={d}): {len(cat)} classes, expected {classes}")
+        require(
+            cat.total == total, f"(n={n}, d={d}): orbit sizes sum to {cat.total}, expected {total}"
+        )
+        require(cat.total == d ** (n * (n - 1) // 2), f"(n={n}, d={d}): total is not d^(n(n-1)/2)")
     dt = _elapsed_under(t0, 1.0, "orbit enumeration")
     return f"class counts 2/5/2 with totals 2/8/3 in {dt:.2f}s"
 
@@ -117,9 +121,9 @@ def check_stabilizer_count_formula() -> str:
     t0 = time.perf_counter()
     for n, expected in ((2, 60), (3, 1080)):
         formula = 2**n * int(np.prod([2**i + 1 for i in range(1, n + 1)]))
-        assert formula == expected
+        require(formula == expected, f"n={n}: formula gives {formula}, expected {expected}")
         got = _count_qubit_stabilizer_groups(n)
-        assert got == expected, f"n={n}: counted {got} stabilizer groups, expected {expected}"
+        require(got == expected, f"n={n}: counted {got} stabilizer groups, expected {expected}")
     dt = _elapsed_under(t0, 60.0, "stabilizer group enumeration")
     return f"60 and 1080 qubit stabilizer groups in {dt:.1f}s"
 
@@ -139,13 +143,17 @@ def check_tilted_chsh_curve() -> str:
         quant = optimize.quantum_value(ineq, cfg).value
         stab_closed = max(2.0 * np.sqrt(2.0), 2.0 + alpha)
         quant_closed = np.sqrt(8.0 + 2.0 * alpha**2)
-        assert abs(stab - stab_closed) <= 1e-5, f"alpha={alpha}: stabilizer {stab} vs {stab_closed}"
-        assert abs(quant - quant_closed) <= 1e-5, f"alpha={alpha}: quantum {quant} vs {quant_closed}"
+        require(
+            abs(stab - stab_closed) <= 1e-5, f"alpha={alpha}: stabilizer {stab} vs {stab_closed}"
+        )
+        require(
+            abs(quant - quant_closed) <= 1e-5, f"alpha={alpha}: quantum {quant} vs {quant_closed}"
+        )
         gap = quant - stab
         if quant_closed - stab_closed > 1e-12:
-            assert gap > 0.0, f"alpha={alpha}: gap should be positive, got {gap}"
+            require(gap > 0.0, f"alpha={alpha}: gap should be positive, got {gap}")
         else:
-            assert abs(gap) <= 2e-5, f"alpha={alpha}: gap should vanish, got {gap}"
+            require(abs(gap) <= 2e-5, f"alpha={alpha}: gap should vanish, got {gap}")
         worst_s = max(worst_s, abs(stab - stab_closed))
         worst_q = max(worst_q, abs(quant - quant_closed))
     dt = _elapsed_under(t0, 60.0, "tilted CHSH curve")
@@ -162,8 +170,8 @@ def check_cglmp_table() -> str:
         stab = optimize.stabilizer_value(ineq, cfg).value
         quant = optimize.quantum_value(ineq, cfg).value
         stab_tol = 5e-4 if d == 3 else 1e-3
-        assert abs(stab - stab_ref) <= stab_tol, f"d={d}: stabilizer {stab} vs {stab_ref}"
-        assert abs(quant - quant_ref) <= 1e-3, f"d={d}: quantum {quant} vs {quant_ref}"
+        require(abs(stab - stab_ref) <= stab_tol, f"d={d}: stabilizer {stab} vs {stab_ref}")
+        require(abs(quant - quant_ref) <= 1e-3, f"d={d}: quantum {quant} vs {quant_ref}")
         details.append(f"d={d}: {stab:.4f}/{quant:.4f}")
     dt = _elapsed_under(t0, 600.0, "CGLMP table")
     return "; ".join(details) + f" in {dt:.0f}s"
@@ -174,19 +182,19 @@ def check_tripartite_witness() -> str:
     ineq = bell.catalog_svetlichny_r2()
     cfg = optimize.OptimizerConfig(seed=11)
     rep = optimize.stabilizer_value(ineq, cfg)
-    assert abs(rep.value - 6.0) <= 1e-5, f"stabilizer value {rep.value} vs 6"
-    assert len(rep.class_values) == 5
-    assert all(v <= 6.0 + 1e-5 for v in rep.class_values), f"class values {rep.class_values}"
+    require(abs(rep.value - 6.0) <= 1e-5, f"stabilizer value {rep.value} vs 6")
+    require(len(rep.class_values) == 5, f"{len(rep.class_values)} class values, expected 5")
+    require(all(v <= 6.0 + 1e-5 for v in rep.class_values), f"class values {rep.class_values}")
 
     w_theta = float(np.arccos(1.0 / np.sqrt(3.0)))
     thetas = [0.0, np.pi / 4, w_theta, np.pi / 2]
     phis = [0.0, np.pi / 4, np.pi / 2]
     heat = optimize.w_heatmap(thetas, phis, cfg)
     w_val = heat[2, 1]
-    assert abs(w_val - 7.26) <= 0.02, f"W-state value {w_val} vs 7.26"
-    assert heat.max() <= w_val + 1e-6, "grid peak should sit at the W state"
+    require(abs(w_val - 7.26) <= 0.02, f"W-state value {w_val} vs 7.26")
+    require(heat.max() <= w_val + 1e-6, "grid peak should sit at the W state")
     for line in (heat[0, :], heat[:, 0], heat[:, 2]):
-        assert np.all(line <= 6.0 + 1e-6), f"biseparable line exceeds 6: {line}"
+        require(np.all(line <= 6.0 + 1e-6), f"biseparable line exceeds 6: {line}")
     dt = _elapsed_under(t0, 300.0, "tripartite witness")
     return f"all 5 classes at 6, W point {w_val:.4f}, {dt:.0f}s"
 
@@ -200,7 +208,7 @@ def check_coprime_local_cap() -> str:
         ineq = bell.BellInequality((2, 3), (2, 2), coeffs, name=f"random-{trial}")
         loc = bell.local_bound(ineq)
         stab = optimize.stabilizer_value(ineq, cfg).value
-        assert stab <= loc + 1e-6, f"trial {trial}: stabilizer {stab} above local bound {loc}"
+        require(stab <= loc + 1e-6, f"trial {trial}: stabilizer {stab} above local bound {loc}")
     dt = time.perf_counter() - t0
     return f"20 random (2,3) inequalities capped by their local bounds, {dt:.0f}s"
 
@@ -222,8 +230,8 @@ def check_dft_round_trip() -> str:
             p = bell.Behavior(outcomes, settings, table)
             lhs = np.sum(bell.fourier_coefficients(ineq).coeffs * bell.correlators_from_behavior(p))
             rhs = bell.evaluate(ineq, p)
-            assert abs(lhs.imag) <= 1e-9
-            assert abs(lhs.real - rhs) <= 1e-9, f"round trip off by {abs(lhs.real - rhs)}"
+            require(abs(lhs.imag) <= 1e-9, f"round trip has imaginary part {lhs.imag}")
+            require(abs(lhs.real - rhs) <= 1e-9, f"round trip off by {abs(lhs.real - rhs)}")
     return "300 random inequality/behavior pairs round-trip within 1e-9"
 
 
@@ -239,7 +247,7 @@ def check_stabilizer_fixed_points() -> str:
         gs = states.build_graph_state(rep)
         for g in states.stabilizer_generators(rep).matrices():
             err = np.linalg.norm(g @ gs.amplitudes - gs.amplitudes)
-            assert err <= 1e-9, f"{rep!r}: generator moves the state by {err}"
+            require(err <= 1e-9, f"{rep!r}: generator moves the state by {err}")
         count += 1
     return f"{count} representatives fixed by all generators within 1e-9"
 
@@ -249,7 +257,7 @@ def check_graph_state_constructions() -> str:
     for rep in _representative_states():
         a = states.build_graph_state(rep).amplitudes
         b = states.build_graph_state_by_gates(rep).amplitudes
-        assert np.max(np.abs(a - b)) <= 1e-12, f"{rep!r}: construction paths disagree"
+        require(np.max(np.abs(a - b)) <= 1e-12, f"{rep!r}: construction paths disagree")
         count += 1
     rng = np.random.default_rng(7)
     for d, n in ((2, 4), (3, 3), (5, 2)):
@@ -260,7 +268,7 @@ def check_graph_state_constructions() -> str:
         rep = graphs.AdjacencyMatrix(d, m)
         a = states.build_graph_state(rep).amplitudes
         b = states.build_graph_state_by_gates(rep).amplitudes
-        assert np.max(np.abs(a - b)) <= 1e-12
+        require(np.max(np.abs(a - b)) <= 1e-12, f"{rep!r}: construction paths disagree")
         count += 1
     return f"{count} graphs agree between phase polynomial and gate path within 1e-12"
 
@@ -272,7 +280,7 @@ def check_cluster_purity() -> str:
         gs = states.assemble_cluster_state(family, assignment)
         for keep in ((2,), (0, 1)):
             purity = states.reduced_purity(gs, keep)
-            assert abs(purity - 1.0) <= 1e-9, f"purity across clusters is {purity}"
+            require(abs(purity - 1.0) <= 1e-9, f"purity across clusters is {purity}")
         count += 1
     return f"{count} direct sums have purity 1 across the dimension split"
 
@@ -286,7 +294,7 @@ def check_seesaw_monotonicity() -> str:
     for rep in reports:
         trace = np.asarray(rep.trace)
         drops = np.diff(trace) < -1e-9 * (1.0 + np.abs(trace[:-1]))
-        assert not drops.any(), "objective decreased during a see-saw"
+        require(not drops.any(), "objective decreased during a see-saw")
     return "traces non-decreasing on qubit and qutrit runs"
 
 
@@ -302,8 +310,8 @@ def check_bound_sandwich() -> str:
         loc = bell.local_bound(ineq)
         stab = optimize.stabilizer_value(ineq, cfg).value
         quant = optimize.quantum_value(ineq, cfg).value
-        assert loc <= stab + 1e-6, f"{ineq.name}: local {loc} above stabilizer {stab}"
-        assert stab <= quant + 1e-6, f"{ineq.name}: stabilizer {stab} above quantum {quant}"
+        require(loc <= stab + 1e-6, f"{ineq.name}: local {loc} above stabilizer {stab}")
+        require(stab <= quant + 1e-6, f"{ineq.name}: stabilizer {stab} above quantum {quant}")
     dt = time.perf_counter() - t0
     return f"local <= stabilizer <= quantum on the catalog, {dt:.0f}s"
 
@@ -319,11 +327,11 @@ def check_scan_determinism() -> str:
         subprocess.run(cmd + ["--jobs", jobs], capture_output=True, check=True).stdout
         for jobs in ("1", "1", "8")
     ]
-    assert runs[0] == runs[1], "same seed gave different CSV bytes"
-    assert runs[0] == runs[2], "CSV bytes depend on the worker count"
+    require(runs[0] == runs[1], "same seed gave different CSV bytes")
+    require(runs[0] == runs[2], "CSV bytes depend on the worker count")
     lines = runs[0].decode().strip().splitlines()
-    assert lines[0] == "param,local,stab,quantum,gap"
-    assert len(lines) == 4
+    require(lines[0] == "param,local,stab,quantum,gap", f"CSV header {lines[0]!r}")
+    require(len(lines) == 4, f"{len(lines)} CSV lines, expected 4")
     dt = time.perf_counter() - t0
     return f"byte-identical CSV across runs and jobs 1 vs 8, {dt:.0f}s"
 

@@ -6,6 +6,9 @@ runtime limits pinned inside the checks.  Run with -v to get one pass/fail
 line per check.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from magicwit import verify
@@ -47,3 +50,33 @@ def test_fault_injection_is_caught(monkeypatch):
     result = check.run()
     assert not result.ok
     assert "expected" in result.detail
+
+
+FAULT_UNDER_O = """
+from magicwit import graphs, verify
+
+real = graphs.enumerate_classes
+
+
+def corrupted(n, d, budget=graphs.DEFAULT_ENUM_BUDGET):
+    cat = real(n, d, budget)
+    return graphs.OrbitCatalog(
+        n=cat.n, d=cat.d,
+        representatives=cat.representatives[:-1], orbit_sizes=cat.orbit_sizes[:-1],
+    )
+
+
+verify.graphs.enumerate_classes = corrupted
+print(next(c for c in verify.CHECKS if c.name == "orbit-counts").run().ok)
+"""
+
+
+def test_fault_injection_is_caught_under_python_O():
+    # `python -O` strips assert statements; the checks must still fail.
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", FAULT_UNDER_O],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

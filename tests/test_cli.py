@@ -226,6 +226,28 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     assert "[FAIL] injected" in captured.out
 
 
+def test_verify_quick_under_python_O():
+    # The checks raise explicitly, so `python -O` keeps them.
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "magicwit", "verify", "--quick"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0
+    assert "6/6 checks passed" in out.stdout
+
+
+def test_seesaw_self_check_failure_exits_1(monkeypatch, capsys):
+    from magicwit import optimize
+
+    real = optimize.bell.evaluate
+    monkeypatch.setattr(optimize.bell, "evaluate", lambda ineq, p: real(ineq, p) + 1e-6)
+    assert main(["bounds", "tilted-chsh", "--restarts", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: re-evaluation drifted from the see-saw value"]
+
+
 def test_scan_full_grid_row_count():
     out = run_cli(
         ["scan", "tilted-chsh", "--start", "0", "--stop", "2", "--step", "0.1",

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magicwit import optimize
 from magicwit.bell import (
+    BellInequality,
     behavior_from_state,
     catalog_cglmp,
     catalog_svetlichny_r2,
@@ -10,6 +13,7 @@ from magicwit.bell import (
     evaluate,
     local_bound,
 )
+from magicwit.errors import InvariantError
 from magicwit.graphs import AdjacencyMatrix
 from magicwit.optimize import (
     OptimizerConfig,
@@ -135,8 +139,8 @@ def test_seesaw_traces_are_monotone():
         assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
 
 
-def _haar_qubit(rng):
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+def _haar_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -146,9 +150,55 @@ def test_local_unitary_invariance():
     base = optimize_measurements(ineq, edge_state(), CFG).value
     rng = np.random.default_rng(31)
     for _ in range(10):
-        u = np.kron(_haar_qubit(rng), _haar_qubit(rng))
+        u = np.kron(_haar_unitary(rng, 2), _haar_unitary(rng, 2))
         rep = optimize_measurements(ineq, u @ edge_state().amplitudes, CFG)
         assert rep.value == pytest.approx(base, abs=1e-6)
+
+
+@pytest.mark.parametrize("outcomes", [(3, 3), (2, 3), (2, 2, 2)])
+def test_bell_operator_matches_born_rule(outcomes):
+    # <psi|B|psi> is the Bell value of the Born-rule behavior; on the mixed
+    # (2, 3) register this also pins the order of the Kronecker factors.
+    rng = np.random.default_rng(sum(outcomes))
+    settings = (2, 3, 2)[: len(outcomes)]
+    ineq = BellInequality(outcomes, settings, rng.uniform(-1.0, 1.0, outcomes + settings))
+    dim = int(np.prod(outcomes))
+    for _ in range(5):
+        bases = [[_haar_unitary(rng, d) for _ in range(m)] for d, m in zip(outcomes, settings)]
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi /= np.linalg.norm(psi)
+        op = optimize._bell_operator(bases, ineq.coeffs, outcomes, settings)
+        assert np.max(np.abs(op - op.conj().T)) <= 1e-12
+        want = evaluate(ineq, behavior_from_state(psi, bases))
+        assert abs(np.vdot(psi, op @ psi) - want) <= 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.sampled_from([3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+def test_basis_update_is_unitary_monotone_and_best_relabeled(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    bh = z + z.conj().transpose(0, 2, 1)
+    v = _haar_unitary(rng, d)
+
+    def score(u):
+        return sum(np.real(u[:, a].conj() @ bh[a] @ u[:, a]) for a in range(d))
+
+    new = optimize._basis_update(bh, v)
+    assert np.max(np.abs(new.conj().T @ new - np.eye(d))) <= 1e-10
+    assert score(new) >= score(v) - 1e-9
+    # Reference: the looped search, the SVD basis under each cyclic relabeling.
+    lam = min(np.linalg.eigvalsh(bh[a]).min() for a in range(d))
+    w = np.column_stack([(bh[a] - lam * np.eye(d)) @ v[:, a] for a in range(d)])
+    p, _, qh = np.linalg.svd(w)
+    svd_basis = p @ qh
+    for t in range(d):
+        assert score(new) >= score(svd_basis[:, (np.arange(d) + t) % d]) - 1e-9
+
+
+def test_seesaw_decrease_raises_invariant_error():
+    with pytest.raises(InvariantError, match="see-saw state step decreased"):
+        optimize._ascend([1.0], 0.5, "state step")
 
 
 def test_bound_sandwich_tilted():
