@@ -124,10 +124,13 @@ def load_inequality_file(path: str) -> bell.BellInequality:
         if (a, x) in seen:
             raise ValueError(f"{where}: duplicate entry for a={list(a)}, x={list(x)}")
         seen.add((a, x))
+        value = rec["value"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{where}: 'value' must be a number")
         try:
-            coeffs[a + x] = float(rec["value"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: 'value' must be a number") from exc
+            coeffs[a + x] = float(value)
+        except OverflowError as exc:
+            raise ValueError(f"{where}: 'value' is out of range") from exc
     return bell.BellInequality(outcomes, settings, coeffs, name=data.get("name", path))
 
 
@@ -215,6 +218,8 @@ def cmd_scan(args) -> int:
         raise ValueError(f"unknown scan family {args.family!r} (available: tilted-chsh)")
     if args.step <= 0:
         raise ValueError("step must be positive")
+    if not 0.0 <= args.start <= args.stop <= 2.0:
+        raise ValueError("tilted-chsh scan needs 0 <= start <= stop <= 2")
     cfg = _config(args)
     count = int(round((args.stop - args.start) / args.step)) + 1
     params = [args.start + i * args.step for i in range(count)]

@@ -16,9 +16,16 @@ linear subproblem:
 
 The unrestricted quantum value alternates measurement sweeps with an exact
 state update (top eigenvector of the Bell operator).  Every step is
-monotone, so each restart's trace is non-decreasing.  Restarts draw their
-random starting points from seeds spawned per restart, which makes results
-independent of the worker count.
+monotone, so each restart's trace is non-decreasing.
+
+A measurement step is valued from its own environment: the objective is
+sum_a <v_a|B_a|v_a> plus terms free of the active basis, so the trace gains
+the change in that sum and no Born-rule contraction of the whole objective
+runs inside a sweep.  The accumulated trace is checked against the Born rule
+(`_objective`) at the end of every restart, and against <psi|B|psi> of the
+Bell operator before every state step, which re-anchors the trace to
+`_objective`.  Restarts draw their random starting points from seeds spawned
+per restart, which makes results independent of the worker count.
 """
 
 from __future__ import annotations
@@ -103,26 +110,41 @@ def _objective(psi_t, bases, coeffs) -> float:
     return total
 
 
-def _environments(psi_t, bases, coeffs, settings, party, setting) -> np.ndarray:
-    """Stack of outcome operators B[a] for the active (party, setting).
+def _contractions(psi_t, bases, party) -> np.ndarray:
+    """psi contracted with the other parties' bases, for every setting tuple of theirs.
 
-    The contribution of the active measurement to the objective is
-    sum_a tr(P_a B[a]) with P_a its rank-1 outcome projectors.
+    Entry [x, r, p] is the amplitude of outcome tuple r of the other parties,
+    measured in setting tuple x, with the active party's index p left open;
+    x and r run row-major over the other parties in order.  The stack does
+    not involve `party`'s own bases, so one serves every setting of a visit.
     """
-    n = len(settings)
     d = psi_t.shape[party]
-    others = [j for j in range(n) if j != party]
-    b = np.zeros((d, d, d), dtype=complex)
-    for xr in itertools.product(*(range(settings[j]) for j in others)):
+    others = [j for j in range(psi_t.ndim) if j != party]
+    rows = []
+    for xr in itertools.product(*(range(len(bases[j])) for j in others)):
         t = psi_t
         for j, xj in zip(others, xr):
             t = bell.apply_site(t, bases[j][xj].conj().T, j)
-        cvecs = np.moveaxis(t, party, -1).reshape(-1, d)
-        xs = xr[:party] + (setting,) + xr[party:]
-        w = coeffs[(slice(None),) * n + xs]
-        w = np.moveaxis(w, party, 0).reshape(d, -1)
-        b += np.einsum("ar,rp,rq->apq", w, cvecs, cvecs.conj())
-    return b
+        rows.append(np.moveaxis(t, party, -1).reshape(-1, d))
+    return np.stack(rows)
+
+
+def _environments(c, coeffs, party, setting) -> np.ndarray:
+    """Stack of outcome operators B[a] for the active (party, setting).
+
+    `c` is the party's `_contractions` stack.  The objective is
+    sum_a <v_a|B[a]|v_a> over the active basis {v_a} plus terms that do not
+    involve it, so a basis update changes the objective by the change in
+    that sum.  `_sweep_measurements` values each step that way, and
+    `_restart_task` checks the summed steps against the Born rule.
+    """
+    nx, nr, d = c.shape
+    w = np.take(coeffs, setting, axis=coeffs.ndim // 2 + party)
+    w = np.moveaxis(w, party, 0).reshape(d, nr, nx)
+    # x is summed last, tuple by tuple, as a loop over setting tuples would:
+    # restarts that tie on a plateau are ranked by rounding, so the order
+    # decides which one is reported.
+    return np.einsum("arx,xrp,xrq->xapq", w, c, c.conj()).sum(axis=0)
 
 
 def _bloch_from_env(b: np.ndarray) -> np.ndarray:
@@ -163,13 +185,30 @@ def _ascend(trace: list, val: float, step: str) -> None:
     trace.append(val)
 
 
+def _require_on_trace(trace: list, val: float) -> None:
+    """Check the environment-valued trace against an independent contraction."""
+    require(abs(val - trace[-1]) <= 1e-8, "see-saw trace drifted from the objective")
+
+
+def _active_value(b: np.ndarray, v: np.ndarray) -> float:
+    """sum_a Re <v_a|B[a]|v_a>: the active basis's share of the objective."""
+    return float(np.einsum("pa,apq,qa->", v.conj(), b, v).real)
+
+
 def _sweep_measurements(psi_t, bases, coeffs, settings, trace) -> None:
-    n = len(settings)
-    for i in range(n):
+    """Update every (party, setting) once, valuing each step from its environment.
+
+    A step appends trace[-1] plus the change in `_active_value`; no Born-rule
+    contraction of the whole objective runs here.  `_restart_task` ties the
+    accumulated trace back to `_objective`.
+    """
+    for i in range(len(settings)):
         d = psi_t.shape[i]
+        c = _contractions(psi_t, bases, i)
         for s in range(settings[i]):
-            env = _environments(psi_t, bases, coeffs, settings, i, s)
+            env = _environments(c, coeffs, i, s)
             env = 0.5 * (env + np.conj(np.transpose(env, (0, 2, 1))))
+            old = _active_value(env, bases[i][s])
             if d == 2:
                 v = _bloch_from_env(env)
                 nv = np.linalg.norm(v)
@@ -177,7 +216,7 @@ def _sweep_measurements(psi_t, bases, coeffs, settings, trace) -> None:
                     bases[i][s] = _basis_from_bloch(v / nv)
             else:
                 bases[i][s] = _basis_update(env, bases[i][s])
-            _ascend(trace, _objective(psi_t, bases, coeffs), "step")
+            _ascend(trace, trace[-1] + (_active_value(env, bases[i][s]) - old), "step")
 
 
 def _random_basis(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -246,13 +285,18 @@ def _restart_task(args):
         before = trace[-1]
         _sweep_measurements(psi_t, bases, coeffs, settings, trace)
         if free_state:
-            psi = _top_eigvec(_bell_operator(bases, coeffs, outcomes, settings))
+            op = _bell_operator(bases, coeffs, outcomes, settings)
+            # The state step re-anchors the trace, so check the sweep's first.
+            _require_on_trace(trace, np.vdot(psi, op @ psi).real)
+            psi = _top_eigvec(op)
             psi_t = psi.reshape(outcomes)
             _ascend(trace, _objective(psi_t, bases, coeffs), "state step")
         if trace[-1] - before < tol:
             converged = True
             break
-    return trace[-1], bases, trace, iters, converged, psi
+    value = _objective(psi_t, bases, coeffs)
+    _require_on_trace(trace, value)
+    return value, bases, trace, iters, converged, psi
 
 
 def _run_tasks(fn: Callable, argslist: list, jobs: int) -> list:

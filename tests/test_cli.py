@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magicwit.bell import catalog_tilted_chsh, local_bound
 from magicwit.cli import inequality_to_json, load_inequality_file, main
@@ -117,6 +122,13 @@ def test_scan_range_validation():
     assert out.returncode == 2
 
 
+def test_scan_reversed_range_is_user_error(capsys):
+    assert main(["scan", "tilted-chsh", "--start", "1", "--stop", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: tilted-chsh scan needs 0 <= start <= stop <= 2"]
+
+
 def test_heatmap_minimal_grid():
     out = run_cli(["heatmap", "--theta-steps", "2", "--phi-steps", "2", "--restarts", "4"])
     assert out.returncode == 0
@@ -182,6 +194,22 @@ def test_bounds_from_spec_file(tmp_path):
     ],
 )
 def test_spec_file_diagnostics(tmp_path, mangle, message):
+    _check_spec_file_diagnostic(tmp_path, mangle, message)
+
+
+@pytest.mark.parametrize(
+    "mangle,message",
+    [
+        (lambda d: d["coefficients"][0].update(value="1.5"), "must be a number"),
+        (lambda d: d["coefficients"][0].update(value=True), "must be a number"),
+        (lambda d: d["coefficients"][0].update(value=10**400), "out of range"),
+    ],
+)
+def test_spec_file_value_diagnostics(tmp_path, mangle, message):
+    _check_spec_file_diagnostic(tmp_path, mangle, message)
+
+
+def _check_spec_file_diagnostic(tmp_path, mangle, message):
     data = inequality_to_json(catalog_tilted_chsh(0.0))
     mangle(data)
     path = tmp_path / "bad.json"
@@ -190,6 +218,60 @@ def test_spec_file_diagnostics(tmp_path, mangle, message):
     assert out.returncode == 2
     assert message in out.stderr
     assert "Traceback" not in out.stderr
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 3),
+    st.sampled_from([0.5, float("nan"), float("inf"), 10**400]),
+    st.text(max_size=2),
+    st.lists(st.integers(-1, 3), max_size=4),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def _spec_documents(draw):
+    """A small well-formed inequality file with up to two fields replaced or dropped."""
+    n = draw(st.integers(1, 3))
+    outcomes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    record = st.fixed_dictionaries(
+        {
+            "a": st.tuples(*(st.integers(0, d - 1) for d in outcomes)).map(list),
+            "x": st.tuples(*(st.integers(0, m - 1) for m in counts)).map(list),
+            "value": st.floats(-2, 2),
+        }
+    )
+    records = draw(
+        st.lists(record, max_size=8, unique_by=lambda r: (tuple(r["a"]), tuple(r["x"])))
+    )
+    doc = {"parties": n, "outcomes": outcomes, "settings": counts, "coefficients": records}
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from(records)) if records and draw(st.booleans()) else doc
+        if not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            target[key] = draw(_JUNK)
+        else:
+            del target[key]
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_spec_documents())
+def test_spec_file_fuzz_exits_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["bounds", path, "--which", "local"])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_spec_file_json_parse_diagnostics(tmp_path):
@@ -246,6 +328,23 @@ def test_seesaw_self_check_failure_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: re-evaluation drifted from the see-saw value"]
+
+
+def test_environment_drift_exits_1(monkeypatch, capsys):
+    from magicwit import optimize
+
+    real = optimize._environments
+
+    def skewed(c, coeffs, party, setting):
+        b = real(c, coeffs, party, setting)
+        b[0, -1, -1] += 1e-3  # a small Hermitian offset on outcome 0
+        return b
+
+    monkeypatch.setattr(optimize, "_environments", skewed)
+    assert main(["bounds", "tilted-chsh", "--restarts", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: see-saw trace drifted from the objective"]
 
 
 def test_scan_full_grid_row_count():

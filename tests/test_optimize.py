@@ -173,6 +173,76 @@ def test_bell_operator_matches_born_rule(outcomes):
         assert abs(np.vdot(psi, op @ psi) - want) <= 1e-12
 
 
+def _score(b, u):
+    """sum_a Re <u_a|b[a]|u_a>, one column at a time."""
+    return sum(np.real(u[:, a].conj() @ b[a] @ u[:, a]) for a in range(u.shape[1]))
+
+
+@pytest.mark.parametrize("outcomes", [(2, 2), (3, 3), (2, 3), (2, 2, 2)])
+def test_environment_gives_objective_change(outcomes):
+    # The objective is affine in each basis: replacing bases[i][s] by V moves
+    # it by the change in sum_a <v_a|B_a|v_a> over that setting's environment.
+    rng = np.random.default_rng(10 * len(outcomes) + sum(outcomes))
+    settings = (2, 3, 2)[: len(outcomes)]
+    coeffs = rng.uniform(-1.0, 1.0, outcomes + settings)
+    dim = int(np.prod(outcomes))
+    for _ in range(3):
+        bases = [[_haar_unitary(rng, d) for _ in range(m)] for d, m in zip(outcomes, settings)]
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi_t = (psi / np.linalg.norm(psi)).reshape(outcomes)
+        before = optimize._objective(psi_t, bases, coeffs)
+        for i, d in enumerate(outcomes):
+            c = optimize._contractions(psi_t, bases, i)
+            for s in range(settings[i]):
+                b = optimize._environments(c, coeffs, i, s)
+                v = _haar_unitary(rng, d)
+                moved = [list(per) for per in bases]
+                moved[i][s] = v
+                change = optimize._objective(psi_t, moved, coeffs) - before
+                assert abs(change - (_score(b, v) - _score(b, bases[i][s]))) <= 1e-12
+
+
+def _skew_environments(monkeypatch):
+    # A small Hermitian offset on outcome 0: steps are valued off the objective.
+    real = optimize._environments
+
+    def skewed(c, coeffs, party, setting):
+        b = real(c, coeffs, party, setting)
+        b[0, -1, -1] += 1e-3
+        return b
+
+    monkeypatch.setattr(optimize, "_environments", skewed)
+
+
+def test_environment_drift_raises_invariant_error(monkeypatch):
+    _skew_environments(monkeypatch)
+    cfg = OptimizerConfig(restarts=2, seed=7)
+    with pytest.raises(InvariantError, match="see-saw trace drifted from the objective"):
+        optimize_measurements(catalog_tilted_chsh(0.5), edge_state(), cfg)
+    with pytest.raises(InvariantError, match="see-saw trace drifted from the objective"):
+        quantum_value(catalog_tilted_chsh(0.5), cfg)
+    with pytest.raises(InvariantError, match="see-saw trace drifted from the objective"):
+        quantum_value(catalog_cglmp(3), cfg)
+
+
+@pytest.mark.parametrize("free_state", [False, True])
+@pytest.mark.parametrize(
+    "ineq", [catalog_tilted_chsh(0.5), catalog_cglmp(3), catalog_svetlichny_r2()], ids=lambda q: q.name
+)
+def test_objective_calls_per_restart(monkeypatch, ineq, free_state):
+    # One full Born-rule contraction to start, one per state step and one to
+    # close, however many parties and settings a sweep visits.
+    calls = []
+    real = optimize._objective
+    monkeypatch.setattr(optimize, "_objective", lambda *a: calls.append(1) or real(*a))
+    dim = int(np.prod(ineq.outcomes))
+    psi = None if free_state else np.ones(dim, dtype=complex) / np.sqrt(dim)
+    args = (ineq.coeffs, ineq.outcomes, ineq.settings, psi, 500, 1e-9, np.random.SeedSequence(3))
+    iters = optimize._restart_task(args)[3]
+    assert iters > 1
+    assert len(calls) == 2 + (iters if free_state else 0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(d=st.sampled_from([3, 5, 7]), seed=st.integers(0, 2**32 - 1))
 def test_basis_update_is_unitary_monotone_and_best_relabeled(d, seed):
@@ -180,20 +250,16 @@ def test_basis_update_is_unitary_monotone_and_best_relabeled(d, seed):
     z = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
     bh = z + z.conj().transpose(0, 2, 1)
     v = _haar_unitary(rng, d)
-
-    def score(u):
-        return sum(np.real(u[:, a].conj() @ bh[a] @ u[:, a]) for a in range(d))
-
     new = optimize._basis_update(bh, v)
     assert np.max(np.abs(new.conj().T @ new - np.eye(d))) <= 1e-10
-    assert score(new) >= score(v) - 1e-9
+    assert _score(bh, new) >= _score(bh, v) - 1e-9
     # Reference: the looped search, the SVD basis under each cyclic relabeling.
     lam = min(np.linalg.eigvalsh(bh[a]).min() for a in range(d))
     w = np.column_stack([(bh[a] - lam * np.eye(d)) @ v[:, a] for a in range(d)])
     p, _, qh = np.linalg.svd(w)
     svd_basis = p @ qh
     for t in range(d):
-        assert score(new) >= score(svd_basis[:, (np.arange(d) + t) % d]) - 1e-9
+        assert _score(bh, new) >= _score(bh, svd_basis[:, (np.arange(d) + t) % d]) - 1e-9
 
 
 def test_seesaw_decrease_raises_invariant_error():
