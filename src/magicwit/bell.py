@@ -14,6 +14,7 @@ transform therefore carries the conjugate kernel.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -175,27 +176,33 @@ def local_bound(ineq: BellInequality, budget: int = DEFAULT_STRATEGY_BUDGET) -> 
 
     The vertices of the local polytope are deterministic assignments, so by
     convexity this equals the maximum over all local hidden-variable models.
+
+    The party with the most strategies (the lowest index on ties) is summed
+    out exactly: for each of its settings it takes its best outcome.  The
+    other parties are folded in one at a time by gathering the coefficients
+    at each strategy's outcome and summing over that party's settings.  No
+    array holds more than prod_j max(d_j^m_j, d_j m_j) values: the strategy
+    count, times the settings of any one-outcome party.  So the strategy
+    budget also bounds the memory.
     """
-    total = 1
-    for d, m in zip(ineq.outcomes, ineq.settings):
-        total *= d**m
+    counts = [d**m for d, m in zip(ineq.outcomes, ineq.settings)]
+    total = math.prod(counts)
     if total > budget:
         raise ResourceLimitError(f"{total} deterministic strategies exceed the budget {budget}")
-    party_plans = [
-        list(itertools.product(range(d), repeat=m))
-        for d, m in zip(ineq.outcomes, ineq.settings)
-    ]
-    xs_list = list(itertools.product(*(range(m) for m in ineq.settings)))
-    coeffs = ineq.coeffs
-    best = -np.inf
-    for plans in itertools.product(*party_plans):
-        v = 0.0
-        for xs in xs_list:
-            a = tuple(plan[x] for plan, x in zip(plans, xs))
-            v += coeffs[a + xs]
-        if v > best:
-            best = v
-    return float(best)
+    n = ineq.parties
+    k = counts.index(max(counts))
+    # Axes: (a_j, x_j) for each other party j in order, then (a_k, x_k).
+    order = [ax for j in range(n) if j != k for ax in (j, n + j)] + [k, n + k]
+    t = np.transpose(ineq.coeffs, order)[None]
+    for j in range(n):
+        if j == k:
+            continue
+        d, m = ineq.outcomes[j], ineq.settings[j]
+        plans = np.indices((d,) * m).reshape(m, -1)
+        # t: (strategies so far, a_j, x_j, rest) -> (strategies so far, s_j, rest)
+        t = sum(t[:, plans[x], x] for x in range(m))
+        t = t.reshape((-1,) + t.shape[2:])
+    return float(t.max(axis=1).sum(axis=1).max())
 
 
 def catalog_tilted_chsh(alpha: float) -> BellInequality:

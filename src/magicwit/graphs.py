@@ -3,8 +3,9 @@
 A graph-state class is encoded by a symmetric zero-diagonal matrix over F_d.
 Two matrices describe locally Clifford-equivalent states exactly when they
 are connected by vertex scalings (M moves) and weighted local
-complementations (L moves), so breadth-first closure under those moves
-yields one representative per equivalence class.
+complementations (L moves).  `lc_orbit` closes one matrix under those moves
+breadth-first; `enumerate_classes` labels every matrix of a register with
+its orbit at once, by sweeps over integer-coded matrices.
 """
 
 from __future__ import annotations
@@ -126,12 +127,51 @@ class OrbitCatalog:
         return len(self.representatives)
 
 
+def _move_images(code: np.ndarray, n: int, d: int, place: dict) -> Iterator[np.ndarray]:
+    """Yield the code -> code image of every M and L move, one at a time.
+
+    place[i, j] = place[j, i] is the base-d place value of the digit holding
+    entry (i, j).  Digits are recomputed from the codes where a move needs
+    them, so only a few code-length vectors are alive at a time.
+    """
+
+    def digit(i: int, j: int) -> np.ndarray:
+        return code // place[i, j] % d
+
+    for v in range(n):
+        others = [u for u in range(n) if u != v]
+        for b in range(2, d):
+            img = code.copy()
+            for u in others:
+                a = digit(u, v)
+                img += (a * b % d - a) * place[u, v]
+            yield img
+        for c in range(1, d):
+            img = code.copy()
+            for i, j in itertools.combinations(others, 2):
+                a = digit(i, j)
+                img += ((a + c * digit(v, i) * digit(v, j)) % d - a) * place[i, j]
+            yield img
+
+
 def enumerate_classes(n: int, d: int, budget: int = DEFAULT_ENUM_BUDGET) -> OrbitCatalog:
     """Partition all n-vertex adjacency matrices over F_d into M/L orbits.
 
-    Matrices are visited in lexicographic row-major order, so the first
-    unseen member of each orbit is also its lexicographically smallest one
-    and becomes the representative.  The result is deterministic.
+    Each matrix is coded as the integer whose base-d digits are its
+    upper-triangle entries in row-major pair order, first pair most
+    significant.  Codes then count in `itertools.product` order, which is
+    also the byte order of `AdjacencyMatrix.key()`: two matrices first
+    differ at an upper-triangle entry, and every entry before it in the
+    row-major bytes mirrors an earlier pair.  So the smallest code of an
+    orbit is its lexicographic representative.
+
+    Orbits are the connected components of the move graph, found by
+    min-label sweeps: every code starts labelled by itself, each move sets
+    label = min(label, label[image]), and pointer jumping (label =
+    label[label]) follows; sweeps repeat until one changes nothing.  Every
+    move's inverse is a move too, so the fixed point labels each code with
+    the smallest code of its orbit.  Move images are recomputed each sweep,
+    so only a few code-length integer vectors are alive at a time.
     """
     require_prime(d)
     if n < 1:
@@ -142,21 +182,33 @@ def enumerate_classes(n: int, d: int, budget: int = DEFAULT_ENUM_BUDGET) -> Orbi
         raise ResourceLimitError(
             f"{total} matrices at (n={n}, d={d}) exceed the enumeration budget {budget}"
         )
-    seen: set[bytes] = set()
-    reps: list[AdjacencyMatrix] = []
-    sizes: list[int] = []
-    for combo in itertools.product(range(d), repeat=len(pairs)):
+    place = {}
+    for p, (i, j) in enumerate(pairs):
+        place[i, j] = place[j, i] = d ** (len(pairs) - 1 - p)
+    # Move arithmetic stays below total * d (a product of two digits when n = 2).
+    code = np.arange(total, dtype=np.int32 if total * d <= np.iinfo(np.int32).max else np.int64)
+    label = code.copy()
+    while True:
+        before = label.copy()
+        for img in _move_images(code, n, d, place):
+            np.minimum(label, label[img], out=label)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label, before):
+            break
+    reps, sizes = np.unique(label, return_counts=True)
+    representatives = []
+    for r in reps.tolist():
         m = np.zeros((n, n), dtype=np.int64)
-        for (i, j), w in zip(pairs, combo):
-            m[i, j] = m[j, i] = w
-        a = AdjacencyMatrix(d, m)
-        if a.key() in seen:
-            continue
-        orbit = lc_orbit(a)
-        seen.update(x.key() for x in orbit)
-        reps.append(orbit[0])
-        sizes.append(len(orbit))
-    return OrbitCatalog(n=n, d=d, representatives=tuple(reps), orbit_sizes=tuple(sizes))
+        for i, j in pairs:
+            m[i, j] = m[j, i] = r // place[i, j] % d
+        representatives.append(AdjacencyMatrix(d, m))
+    return OrbitCatalog(
+        n=n, d=d, representatives=tuple(representatives), orbit_sizes=tuple(sizes.tolist())
+    )
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ A measurement step is valued from its own environment: the objective is
 sum_a <v_a|B_a|v_a> plus terms free of the active basis, so the trace gains
 the change in that sum and no Born-rule contraction of the whole objective
 runs inside a sweep.  The accumulated trace is checked against the Born rule
-(`_objective`) at the end of every restart, and against <psi|B|psi> of the
-Bell operator before every state step, which re-anchors the trace to
-`_objective`.  Restarts draw their random starting points from seeds spawned
+(`_objective`) at the end of every fixed-state restart.  With a free state it
+is checked against <psi|B|psi> of the Bell operator before every state step,
+and the state step re-anchors it to `_objective`, which also values the
+restart.  Restarts draw their random starting points from seeds spawned
 per restart, which makes results independent of the worker count.
 """
 
@@ -294,8 +295,12 @@ def _restart_task(args):
         if trace[-1] - before < tol:
             converged = True
             break
-    value = _objective(psi_t, bases, coeffs)
-    _require_on_trace(trace, value)
+    if free_state:
+        # The last state step valued this state and these bases by `_objective`.
+        value = trace[-1]
+    else:
+        value = _objective(psi_t, bases, coeffs)
+        _require_on_trace(trace, value)
     return value, bases, trace, iters, converged, psi
 
 

@@ -60,7 +60,14 @@ def _elapsed_under(t0: float, limit: float, what: str) -> float:
 
 def check_orbit_counts() -> str:
     t0 = time.perf_counter()
-    for n, d, classes, total in ((2, 2, 2, 2), (3, 2, 5, 8), (2, 3, 2, 3)):
+    for n, d, classes, total in (
+        (2, 2, 2, 2),
+        (3, 2, 5, 8),
+        (4, 2, 18, 64),
+        (5, 2, 93, 1024),
+        (6, 2, 760, 32768),
+        (2, 3, 2, 3),
+    ):
         cat = graphs.enumerate_classes(n, d)
         require(len(cat) == classes, f"(n={n}, d={d}): {len(cat)} classes, expected {classes}")
         require(
@@ -68,7 +75,7 @@ def check_orbit_counts() -> str:
         )
         require(cat.total == d ** (n * (n - 1) // 2), f"(n={n}, d={d}): total is not d^(n(n-1)/2)")
     dt = _elapsed_under(t0, 1.0, "orbit enumeration")
-    return f"class counts 2/5/2 with totals 2/8/3 in {dt:.2f}s"
+    return f"class counts 2/5/18/93/760/2 with totals 2/8/64/1024/32768/3 in {dt:.2f}s"
 
 
 def _count_qubit_stabilizer_groups(n: int) -> int:

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magicwit.bell import (
@@ -234,6 +235,39 @@ def test_local_bound_budget_guard():
     ineq = BellInequality((2, 2), (2, 2), np.zeros((2, 2, 2, 2)))
     with pytest.raises(ResourceLimitError):
         local_bound(ineq, budget=3)
+
+
+def _local_bound_by_strategy_loop(ineq):
+    """Maximum over every deterministic strategy, one strategy tuple at a time."""
+    party_plans = [
+        list(itertools.product(range(d), repeat=m)) for d, m in zip(ineq.outcomes, ineq.settings)
+    ]
+    xs_list = list(itertools.product(*(range(m) for m in ineq.settings)))
+    best = -np.inf
+    for plans in itertools.product(*party_plans):
+        v = 0.0
+        for xs in xs_list:
+            a = tuple(plan[x] for plan, x in zip(plans, xs))
+            v += ineq.coeffs[a + xs]
+        best = max(best, v)
+    return float(best)
+
+
+@st.composite
+def _small_inequalities(draw):
+    """Random coefficients on 1-4 parties, outcomes and settings 1-3, < 2^12 strategies."""
+    n = draw(st.integers(1, 4))
+    outcomes = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    assume(math.prod(d**m for d, m in zip(outcomes, counts)) < 1 << 12)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return BellInequality(outcomes, counts, rng.uniform(-1, 1, size=outcomes + counts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ineq=_small_inequalities())
+def test_local_bound_matches_strategy_loop(ineq):
+    assert abs(local_bound(ineq) - _local_bound_by_strategy_loop(ineq)) <= 1e-12
 
 
 def _relabel(ineq, rng):

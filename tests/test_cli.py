@@ -171,6 +171,22 @@ def test_inequality_file_round_trip(tmp_path):
     assert local_bound(loaded) == pytest.approx(2.0)
 
 
+def test_bounds_spec_file_over_strategy_budget_exits_3(tmp_path):
+    # 2^13 strategies per party, 2^26 in all: over the default budget of 2^24.
+    doc = {
+        "parties": 2,
+        "outcomes": [2, 2],
+        "settings": [13, 13],
+        "coefficients": [{"a": [0, 0], "x": [0, 0], "value": 1.0}],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli(["bounds", str(path), "--which", "local"])
+    assert out.returncode == 3
+    assert "budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_bounds_from_spec_file(tmp_path):
     path = tmp_path / "chsh.json"
     path.write_text(json.dumps(inequality_to_json(catalog_tilted_chsh(0.0))))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,17 @@ def test_moves_preserve_invariants_and_invert(n, d):
 
 @pytest.mark.parametrize(
     "n,d,classes,total",
-    [(1, 2, 1, 1), (2, 2, 2, 2), (3, 2, 5, 8), (2, 3, 2, 3), (2, 5, 2, 5), (3, 3, 5, 27)],
+    [
+        (1, 2, 1, 1),
+        (2, 2, 2, 2),
+        (3, 2, 5, 8),
+        (4, 2, 18, 64),
+        (5, 2, 93, 1024),
+        (6, 2, 760, 32768),
+        (2, 3, 2, 3),
+        (2, 5, 2, 5),
+        (3, 3, 5, 27),
+    ],
 )
 def test_enumerate_classes_counts(n, d, classes, total):
     cat = enumerate_classes(n, d)
@@ -125,6 +137,35 @@ def test_enumerate_classes_deterministic_and_lex_minimal():
     for rep in c1.representatives:
         orbit = lc_orbit(rep)
         assert min(o.key() for o in orbit) == rep.key()
+
+
+def _catalog_from_orbit_closures(n, d):
+    """Representatives and orbit sizes by breadth-first `lc_orbit` closures.
+
+    Matrices are visited in lexicographic order, so the first unseen member
+    of each orbit is its smallest one.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seen, reps, sizes = set(), [], []
+    for combo in itertools.product(range(d), repeat=len(pairs)):
+        a = adj(d, n, [(i, j, w) for (i, j), w in zip(pairs, combo)])
+        if a.key() in seen:
+            continue
+        orbit = lc_orbit(a)
+        seen.update(o.key() for o in orbit)
+        reps.append(orbit[0].key())
+        sizes.append(len(orbit))
+    return reps, tuple(sizes)
+
+
+@pytest.mark.parametrize(
+    "n,d", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (3, 5), (2, 7)]
+)
+def test_enumerate_classes_matches_orbit_closures(n, d):
+    cat = enumerate_classes(n, d)
+    reps, sizes = _catalog_from_orbit_closures(n, d)
+    assert [r.key() for r in cat.representatives] == reps
+    assert cat.orbit_sizes == sizes
 
 
 def test_enumerate_classes_budget():

@@ -230,8 +230,9 @@ def test_environment_drift_raises_invariant_error(monkeypatch):
     "ineq", [catalog_tilted_chsh(0.5), catalog_cglmp(3), catalog_svetlichny_r2()], ids=lambda q: q.name
 )
 def test_objective_calls_per_restart(monkeypatch, ineq, free_state):
-    # One full Born-rule contraction to start, one per state step and one to
-    # close, however many parties and settings a sweep visits.
+    # One full Born-rule contraction to start, then one per state step with a
+    # free state or one to close with a fixed state, however many parties and
+    # settings a sweep visits.
     calls = []
     real = optimize._objective
     monkeypatch.setattr(optimize, "_objective", lambda *a: calls.append(1) or real(*a))
@@ -240,7 +241,7 @@ def test_objective_calls_per_restart(monkeypatch, ineq, free_state):
     args = (ineq.coeffs, ineq.outcomes, ineq.settings, psi, 500, 1e-9, np.random.SeedSequence(3))
     iters = optimize._restart_task(args)[3]
     assert iters > 1
-    assert len(calls) == 2 + (iters if free_state else 0)
+    assert len(calls) == (1 + iters if free_state else 2)
 
 
 @settings(max_examples=50, deadline=None)
