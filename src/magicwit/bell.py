@@ -98,15 +98,10 @@ def _outcome_kernels(outcomes: Sequence[int], sign: float) -> list[np.ndarray]:
     ]
 
 
-def apply_site(t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    """Contract m[a, j] with axis `axis` of t, keeping the axis in place."""
-    return np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
-
-
 def _contract_outcomes(table: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
     out = np.asarray(table, dtype=complex)
     for axis, ker in enumerate(kernels):
-        out = apply_site(out, ker, axis)
+        out = np.moveaxis(np.tensordot(ker, out, axes=([1], [axis])), 0, axis)
     return out
 
 
@@ -129,19 +124,18 @@ def evaluate(ineq: BellInequality, p: Behavior) -> float:
     return float(np.sum(ineq.coeffs * p.table))
 
 
-def born_probabilities(psi_t: np.ndarray, bases):
-    """Yield (xs, |<a|psi>|^2 over outcomes a) for every setting tuple xs.
+def amplitudes(t: np.ndarray, bases) -> np.ndarray:
+    """The Born-rule kernel: <b_(x,a)| t, one `tensordot` per party.
 
-    The unchecked Born-rule kernel: `psi_t` is the state reshaped to one
-    axis per party and bases[i][x] a complex unitary, one column per
-    outcome.  `behavior_from_state` validates its input and calls this;
-    the see-saw objective calls it directly.
+    `t` has one leading axis per party, and bases[i] is party i's stack of
+    bases, shape (m_i, d_i, d_i), one column per outcome.  The result keeps
+    t's trailing axes in front, followed by one (x_i, a_i) pair per party.
+    Unchecked: `behavior_from_state` validates its input and calls this;
+    the see-saw calls it directly.
     """
-    for xs in itertools.product(*(range(len(per)) for per in bases)):
-        amp = psi_t
-        for i, x in enumerate(xs):
-            amp = apply_site(amp, bases[i][x].conj().T, i)
-        yield xs, np.abs(amp) ** 2
+    for stack in bases:
+        t = np.tensordot(t, np.conj(stack), axes=([0], [1]))
+    return t
 
 
 def behavior_from_state(state, measurements) -> Behavior:
@@ -149,7 +143,7 @@ def behavior_from_state(state, measurements) -> Behavior:
 
     measurements[i][x] is the eigenbasis of party i's setting-x observable,
     one orthonormal column per outcome; columns must form a unitary
-    (complete, orthogonal rank-1 projectors).
+    (complete, orthogonal rank-1 projectors) of one size per party.
     """
     psi = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
     bases = []
@@ -158,16 +152,20 @@ def behavior_from_state(state, measurements) -> Behavior:
             raise ValueError(f"party {i} has no settings")
         per = [np.asarray(v, dtype=complex) for v in per_setting]
         for x, v in enumerate(per):
+            if v.shape != per[0].shape:
+                raise ValueError(
+                    f"measurement for party {i} setting {x} has shape {v.shape}, not {per[0].shape}"
+                )
             if not is_unitary(v, 1e-8):
                 raise ValueError(f"measurement for party {i} setting {x} is not projective")
-        bases.append(per)
-    outcomes = tuple(per[0].shape[0] for per in bases)
-    settings = tuple(len(per) for per in bases)
+        bases.append(np.stack(per))
+    outcomes = tuple(b.shape[1] for b in bases)
+    settings = tuple(b.shape[0] for b in bases)
     if psi.shape != (int(np.prod(outcomes)),):
         raise ValueError("state dimension does not match the measurement register")
-    table = np.empty(outcomes + settings)
-    for xs, probs in born_probabilities(psi.reshape(outcomes), bases):
-        table[(slice(None),) * len(outcomes) + xs] = probs
+    n = len(bases)
+    amp = amplitudes(psi.reshape(outcomes), bases)
+    table = np.abs(amp.transpose([2 * i + 1 for i in range(n)] + [2 * i for i in range(n)])) ** 2
     return Behavior(outcomes, settings, table)
 
 

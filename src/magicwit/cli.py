@@ -26,6 +26,9 @@ EXIT_LIMIT = 3
 
 CATALOG = ("tilted-chsh", "cglmp", "svetlichny-r2")
 
+# Largest scan or heatmap grid; checked before any grid point is built.
+MAX_GRID_POINTS = 10**5
+
 
 def _default_seed() -> int:
     raw = os.environ.get("MAGICWIT_SEED")
@@ -68,6 +71,11 @@ def _emit_manifest(command: str, extra: dict, wall: float) -> None:
 
 def _cfg_echo(cfg: optimize.OptimizerConfig) -> dict:
     return {"seed": cfg.seed, "restarts": cfg.restarts, "tol": cfg.tol, "jobs": cfg.jobs}
+
+
+def _require_grid(points: float) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ResourceLimitError(f"grid of {points:.6g} points exceeds the limit {MAX_GRID_POINTS}")
 
 
 def _is_int(v) -> bool:
@@ -221,7 +229,9 @@ def cmd_scan(args) -> int:
     if not 0.0 <= args.start <= args.stop <= 2.0:
         raise ValueError("tilted-chsh scan needs 0 <= start <= stop <= 2")
     cfg = _config(args)
-    count = int(round((args.stop - args.start) / args.step)) + 1
+    span = (args.stop - args.start) / args.step
+    _require_grid(span + 1)
+    count = int(round(span)) + 1
     params = [args.start + i * args.step for i in range(count)]
     if any(not 0.0 <= p <= 2.0 for p in params):
         raise ValueError("tilted-chsh scan parameters must lie in [0, 2]")
@@ -239,6 +249,7 @@ def cmd_heatmap(args) -> int:
     t0 = time.perf_counter()
     if args.theta_steps < 2 or args.phi_steps < 2:
         raise ValueError("grid sizes must be at least 2")
+    _require_grid(args.theta_steps * args.phi_steps)
     cfg = _config(args)
     thetas = np.linspace(0.0, np.pi, args.theta_steps)
     phis = np.linspace(0.0, np.pi, args.phi_steps)

@@ -2,7 +2,7 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed its configured budget."""
+    """An enumeration or a grid would exceed its configured budget."""
 
 
 class InvariantError(AssertionError):

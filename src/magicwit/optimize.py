@@ -18,6 +18,10 @@ The unrestricted quantum value alternates measurement sweeps with an exact
 state update (top eigenvector of the Bell operator).  Every step is
 monotone, so each restart's trace is non-decreasing.
 
+Every Born-rule contraction (the objective, a party's environments, the Bell
+operator) goes through one kernel, `bell.amplitudes`: one `tensordot` per
+party against that party's stacked bases.
+
 A measurement step is valued from its own environment: the objective is
 sum_a <v_a|B_a|v_a> plus terms free of the active basis, so the trace gains
 the change in that sum and no Born-rule contraction of the whole objective
@@ -31,7 +35,7 @@ per restart, which makes results independent of the worker count.
 
 from __future__ import annotations
 
-import itertools
+import math
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from magicwit import algebra, bell, graphs, states
+from magicwit import bell, graphs, states
 from magicwit.errors import require
 
 PAULI = (
@@ -75,10 +79,10 @@ class OptimizationReport:
     """Best value found, with the argmax and per-restart telemetry.
 
     `value` is re-evaluated from the frozen measurements and state through
-    `bell.behavior_from_state`, which shares its Born-rule kernel with the
-    see-saw objective.  The independent check is a single-`einsum`
-    contraction: `born_value` in the benchmark's oracles and the Born-rule
-    test in tests/test_bell.py.
+    `bell.behavior_from_state`, which shares `bell.amplitudes` with every
+    see-saw contraction.  The independent checks are one `einsum` (`born_value`
+    in the benchmark's oracles, a test in tests/test_bell.py) and a loop
+    over setting tuples in tests/test_optimize.py.
 
     `class_values` (stabilizer reports only) holds the best value found per
     graph-state class at the configured restarts.  Each entry is a lower
@@ -105,10 +109,9 @@ class OptimizationReport:
 
 def _objective(psi_t, bases, coeffs) -> float:
     n = psi_t.ndim
-    total = 0.0
-    for xs, probs in bell.born_probabilities(psi_t, bases):
-        total += float(np.sum(coeffs[(slice(None),) * n + xs] * probs))
-    return total
+    amp = bell.amplitudes(psi_t, bases)
+    probs = np.abs(amp.transpose([2 * i + 1 for i in range(n)] + [2 * i for i in range(n)])) ** 2
+    return float(np.sum(coeffs * probs))
 
 
 def _contractions(psi_t, bases, party) -> np.ndarray:
@@ -120,14 +123,13 @@ def _contractions(psi_t, bases, party) -> np.ndarray:
     not involve `party`'s own bases, so one serves every setting of a visit.
     """
     d = psi_t.shape[party]
+    # Measured in the one-setting identity stack, the active party's index stays open.
+    stacks = [np.eye(d)[None] if j == party else b for j, b in enumerate(bases)]
+    amp = bell.amplitudes(psi_t, stacks)
     others = [j for j in range(psi_t.ndim) if j != party]
-    rows = []
-    for xr in itertools.product(*(range(len(bases[j])) for j in others)):
-        t = psi_t
-        for j, xj in zip(others, xr):
-            t = bell.apply_site(t, bases[j][xj].conj().T, j)
-        rows.append(np.moveaxis(t, party, -1).reshape(-1, d))
-    return np.stack(rows)
+    axes = [2 * j for j in others]
+    axes += [ax + 1 for ax in axes] + [2 * party, 2 * party + 1]
+    return amp.transpose(axes).reshape(math.prod(len(bases[j]) for j in others), -1, d)
 
 
 def _environments(c, coeffs, party, setting) -> np.ndarray:
@@ -142,9 +144,9 @@ def _environments(c, coeffs, party, setting) -> np.ndarray:
     nx, nr, d = c.shape
     w = np.take(coeffs, setting, axis=coeffs.ndim // 2 + party)
     w = np.moveaxis(w, party, 0).reshape(d, nr, nx)
-    # x is summed last, tuple by tuple, as a loop over setting tuples would:
-    # restarts that tie on a plateau are ranked by rounding, so the order
-    # decides which one is reported.
+    # x is summed last, one setting tuple after another: restarts that tie on
+    # a plateau are ranked by rounding, so the order decides which one is
+    # reported.
     return np.einsum("arx,xrp,xrq->xapq", w, c, c.conj()).sum(axis=0)
 
 
@@ -244,15 +246,13 @@ def _init_bases(rng, outcomes, settings):
     return bases
 
 
-def _bell_operator(bases, coeffs, outcomes, settings) -> np.ndarray:
-    """sum_xs K diag(w_xs) K^dagger, K = kron of the bases (row-major outcome columns)."""
-    dim = int(np.prod(outcomes))
-    op = np.zeros((dim, dim), dtype=complex)
-    n = len(outcomes)
-    for xs in itertools.product(*(range(m) for m in settings)):
-        k = algebra.kron([bases[i][x] for i, x in enumerate(xs)])
-        op += (k * coeffs[(slice(None),) * n + xs].reshape(-1)) @ k.conj().T
-    return op
+def _bell_operator(bases, coeffs) -> np.ndarray:
+    """sum_(x,a) w[a, x] |b_xa><b_xa|; the kernel on the identity gives K[Q, (x, a)] = <b_xa|Q>."""
+    n = len(bases)
+    dim = math.prod(coeffs.shape[:n])
+    k = bell.amplitudes(np.eye(dim).reshape(coeffs.shape[:n] + (dim,)), bases).reshape(dim, -1)
+    w = coeffs.transpose([ax for i in range(n) for ax in (n + i, i)]).reshape(-1)
+    return (k.conj() * w) @ k.T
 
 
 def _top_eigvec(op: np.ndarray) -> np.ndarray:
@@ -286,7 +286,7 @@ def _restart_task(args):
         before = trace[-1]
         _sweep_measurements(psi_t, bases, coeffs, settings, trace)
         if free_state:
-            op = _bell_operator(bases, coeffs, outcomes, settings)
+            op = _bell_operator(bases, coeffs)
             # The state step re-anchors the trace, so check the sweep's first.
             _require_on_trace(trace, np.vdot(psi, op @ psi).real)
             psi = _top_eigvec(op)

@@ -146,8 +146,8 @@ def _random_unitary(rng, d):
 
 @pytest.mark.parametrize("outcomes", [(2, 2), (3, 3), (2, 3), (2, 2, 2)])
 def test_behavior_from_state_matches_one_einsum(outcomes):
-    # Independent of the looped kernel: one einsum contracts the state with
-    # every party's stacked bases, p[a, x] = |<a_x|psi>|^2.
+    # Independent of the one-tensordot-per-party kernel: one einsum contracts
+    # the state with every party's stacked bases, p[a, x] = |<a_x|psi>|^2.
     rng = np.random.default_rng(sum(outcomes))
     settings = (2, 3, 2)[: len(outcomes)]
     for _ in range(5):
@@ -168,6 +168,12 @@ def test_behavior_from_state_rejects_non_projective():
     skew = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         behavior_from_state(np.array([1.0, 0.0]), [[skew]])
+    # Bases of one party must share its size, whatever the other settings are.
+    eye2, eye3 = np.eye(2), np.eye(3)
+    with pytest.raises(ValueError, match="party 0 setting 1 has shape"):
+        behavior_from_state(np.ones(9) / 3.0, [[eye2, eye3], [eye3]])
+    with pytest.raises(ValueError, match="party 1 setting 2 has shape"):
+        behavior_from_state(np.ones(6) / 6**0.5, [[eye2], [eye3, eye3, eye2]])
 
 
 def test_evaluate_zero_inequality():

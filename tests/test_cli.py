@@ -144,6 +144,30 @@ def test_heatmap_grid_validation():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (["scan", "tilted-chsh", "--step", "1e-12"], "2e+12"),
+        (["scan", "tilted-chsh", "--step", "5e-324"], "inf"),
+        (["scan", "tilted-chsh", "--stop", "1", "--step", "1e-5"], "100001"),
+        (["heatmap", "--theta-steps", "100000", "--phi-steps", "100000"], "1e+10"),
+        (["heatmap", "--theta-steps", "1000", "--phi-steps", "101"], "101000"),
+    ],
+)
+def test_oversized_grid_exits_3_before_building(monkeypatch, capsys, argv, points):
+    from magicwit import optimize
+
+    def unreachable(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(optimize, "gap_scan", unreachable)
+    monkeypatch.setattr(optimize, "w_heatmap", unreachable)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: grid of {points} points exceeds the limit 100000"]
+
+
 def test_env_seed_override():
     out = run_cli(["bounds", "tilted-chsh", "--which", "local"], env={"MAGICWIT_SEED": "99"})
     assert out.returncode == 0

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,10 +158,49 @@ def test_local_unitary_invariance():
         assert rep.value == pytest.approx(base, abs=1e-6)
 
 
-@pytest.mark.parametrize("outcomes", [(3, 3), (2, 3), (2, 2, 2)])
+def _amplitudes_by_setting_loop(psi_t, bases):
+    """Yield (xs, <a|psi>) for every setting tuple xs, contracting one party at a time."""
+    for xs in itertools.product(*(range(len(per)) for per in bases)):
+        amp = psi_t
+        for i, x in enumerate(xs):
+            amp = np.moveaxis(np.tensordot(bases[i][x].conj().T, amp, axes=([1], [i])), 0, i)
+        yield xs, amp
+
+
+def _objective_by_setting_loop(psi_t, bases, coeffs):
+    n = psi_t.ndim
+    return sum(
+        float(np.sum(coeffs[(slice(None),) * n + xs] * np.abs(amp) ** 2))
+        for xs, amp in _amplitudes_by_setting_loop(psi_t, bases)
+    )
+
+
+def _contractions_by_setting_loop(psi_t, bases, party):
+    """One row per setting tuple of the others; the active party measured in the identity."""
+    d = psi_t.shape[party]
+    opened = [[np.eye(d)] if j == party else per for j, per in enumerate(bases)]
+    rows = [
+        np.moveaxis(amp, party, -1).reshape(-1, d)
+        for _, amp in _amplitudes_by_setting_loop(psi_t, opened)
+    ]
+    return np.stack(rows)
+
+
+def _bell_operator_by_kron(bases, coeffs):
+    """sum_xs K diag(w_xs) K^dagger with K the Kronecker product of the bases of xs."""
+    n = len(bases)
+    op = 0.0
+    for xs in itertools.product(*(range(len(per)) for per in bases)):
+        k = functools.reduce(np.kron, [bases[i][x] for i, x in enumerate(xs)])
+        op = op + (k * coeffs[(slice(None),) * n + xs].reshape(-1)) @ k.conj().T
+    return op
+
+
+@pytest.mark.parametrize("outcomes", [(3, 3), (2, 3), (2, 2, 2), (2, 2)])
 def test_bell_operator_matches_born_rule(outcomes):
-    # <psi|B|psi> is the Bell value of the Born-rule behavior; on the mixed
-    # (2, 3) register this also pins the order of the Kronecker factors.
+    # <psi|B|psi> is the Bell value of the Born-rule behavior, and B is the
+    # sum over setting tuples of Kronecker products; on the mixed (2, 3)
+    # register this also pins the order of the Kronecker factors.
     rng = np.random.default_rng(sum(outcomes))
     settings = (2, 3, 2)[: len(outcomes)]
     ineq = BellInequality(outcomes, settings, rng.uniform(-1.0, 1.0, outcomes + settings))
@@ -167,8 +209,9 @@ def test_bell_operator_matches_born_rule(outcomes):
         bases = [[_haar_unitary(rng, d) for _ in range(m)] for d, m in zip(outcomes, settings)]
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi /= np.linalg.norm(psi)
-        op = optimize._bell_operator(bases, ineq.coeffs, outcomes, settings)
+        op = optimize._bell_operator(bases, ineq.coeffs)
         assert np.max(np.abs(op - op.conj().T)) <= 1e-12
+        assert np.max(np.abs(op - _bell_operator_by_kron(bases, ineq.coeffs))) <= 1e-12
         want = evaluate(ineq, behavior_from_state(psi, bases))
         assert abs(np.vdot(psi, op @ psi) - want) <= 1e-12
 
@@ -182,6 +225,7 @@ def _score(b, u):
 def test_environment_gives_objective_change(outcomes):
     # The objective is affine in each basis: replacing bases[i][s] by V moves
     # it by the change in sum_a <v_a|B_a|v_a> over that setting's environment.
+    # The objective and the contraction stacks also match a loop over setting tuples.
     rng = np.random.default_rng(10 * len(outcomes) + sum(outcomes))
     settings = (2, 3, 2)[: len(outcomes)]
     coeffs = rng.uniform(-1.0, 1.0, outcomes + settings)
@@ -191,8 +235,11 @@ def test_environment_gives_objective_change(outcomes):
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi_t = (psi / np.linalg.norm(psi)).reshape(outcomes)
         before = optimize._objective(psi_t, bases, coeffs)
+        assert abs(before - _objective_by_setting_loop(psi_t, bases, coeffs)) <= 1e-12
         for i, d in enumerate(outcomes):
             c = optimize._contractions(psi_t, bases, i)
+            want = _contractions_by_setting_loop(psi_t, bases, i)
+            assert c.shape == want.shape and np.max(np.abs(c - want)) <= 1e-12
             for s in range(settings[i]):
                 b = optimize._environments(c, coeffs, i, s)
                 v = _haar_unitary(rng, d)
