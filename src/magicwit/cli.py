@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -28,6 +29,8 @@ CATALOG = ("tilted-chsh", "cglmp", "svetlichny-r2")
 
 # Largest scan or heatmap grid; checked before any grid point is built.
 MAX_GRID_POINTS = 10**5
+# Largest coefficient tensor of an inequality file; checked before it is allocated.
+MAX_COEFFICIENTS = 1 << 24
 
 
 def _default_seed() -> int:
@@ -110,6 +113,11 @@ def load_inequality_file(path: str) -> bell.BellInequality:
     records = data["coefficients"]
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError(f"{path}: field 'coefficients' must be a list of objects")
+    size = math.prod(outcomes + settings)
+    if size > MAX_COEFFICIENTS:
+        raise ResourceLimitError(
+            f"{path}: coefficient tensor of {size} entries exceeds the limit {MAX_COEFFICIENTS}"
+        )
     coeffs = np.zeros(outcomes + settings)
     seen = set()
     for idx, rec in enumerate(records):
@@ -224,14 +232,16 @@ def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     if args.family != "tilted-chsh":
         raise ValueError(f"unknown scan family {args.family!r} (available: tilted-chsh)")
-    if args.step <= 0:
+    if not args.step > 0:
         raise ValueError("step must be positive")
     if not 0.0 <= args.start <= args.stop <= 2.0:
         raise ValueError("tilted-chsh scan needs 0 <= start <= stop <= 2")
     cfg = _config(args)
     span = (args.stop - args.start) / args.step
     _require_grid(span + 1)
-    count = int(round(span)) + 1
+    # The grid stops at the last point not past `stop`; the tolerance keeps
+    # endpoints that the division leaves an ulp short, such as 0.3 / 0.1.
+    count = math.floor(span + 1e-9) + 1
     params = [args.start + i * args.step for i in range(count)]
     if any(not 0.0 <= p <= 2.0 for p in params):
         raise ValueError("tilted-chsh scan parameters must lie in [0, 2]")

@@ -4,9 +4,8 @@ With every measurement but one held fixed, the Bell value is linear in the
 remaining one.  For each (party, setting) visit the update solves that
 linear subproblem:
 
-* qubits: the observable is u . sigma for a unit Bloch vector u, the value
-  is u . v for a gradient vector v assembled from the fixed factors, and
-  the exact maximizer is u = v/|v|;
+* qubits: the value is tr B_1 + <v_0|B_0 - B_1|v_0>, so the exact
+  maximizer is the eigenbasis of B_0 - B_1 with its top eigenvector first;
 * qudits: the value is sum_a <v_a|B_a|v_a> over the orthonormal eigenbasis
   {v_a}.  After shifting every B_a positive semidefinite (a constant
   offset), aligning the basis with the singular vectors of the stacked
@@ -45,13 +44,6 @@ import numpy as np
 
 from magicwit import bell, graphs, states
 from magicwit.errors import require
-
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -150,28 +142,19 @@ def _environments(c, coeffs, party, setting) -> np.ndarray:
     return np.einsum("arx,xrp,xrq->xapq", w, c, c.conj()).sum(axis=0)
 
 
-def _bloch_from_env(b: np.ndarray) -> np.ndarray:
-    """Gradient direction for a qubit update from the two outcome operators."""
-    diff = b[0] - b[1]
-    return np.array([0.5 * np.trace(s @ diff).real for s in PAULI])
-
-
-def _basis_from_bloch(u: np.ndarray) -> np.ndarray:
-    """Eigenbasis of u . sigma with the +1 eigenvector in column 0."""
-    op = u[0] * PAULI[0] + u[1] * PAULI[1] + u[2] * PAULI[2]
-    _, vecs = np.linalg.eigh(op)
-    return vecs[:, ::-1].copy()
-
-
 def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One monotone alignment step for an orthonormal eigenbasis.
 
-    Shifts the outcome operators positive semidefinite, maximizes the
-    linearized cross term over unitaries via the SVD, then searches the d
-    cyclic relabelings t, scored by sum_a G[a, (a + t) mod d] with
-    G[a, c] = <v_c|B_a|v_c>; ties go to the smallest t.
+    For d = 2 the step is exact: the value is tr B_1 + <v_0|B_0 - B_1|v_0>,
+    maximized by the eigenbasis of B_0 - B_1 with the top vector first.
+    Otherwise it shifts the outcome operators positive semidefinite,
+    maximizes the linearized cross term over unitaries via the SVD, then
+    searches the d cyclic relabelings t, scored by sum_a G[a, (a + t) mod d]
+    with G[a, c] = <v_c|B_a|v_c>; ties go to the smallest t.
     """
     d = v.shape[0]
+    if d == 2:
+        return np.linalg.eigh(bh[0] - bh[1])[1][:, ::-1]
     lam = np.linalg.eigvalsh(bh).min()
     w = np.einsum("apq,qa->pa", bh, v) - lam * v
     p, _, qh = np.linalg.svd(w)
@@ -206,44 +189,25 @@ def _sweep_measurements(psi_t, bases, coeffs, settings, trace) -> None:
     accumulated trace back to `_objective`.
     """
     for i in range(len(settings)):
-        d = psi_t.shape[i]
         c = _contractions(psi_t, bases, i)
         for s in range(settings[i]):
             env = _environments(c, coeffs, i, s)
             env = 0.5 * (env + np.conj(np.transpose(env, (0, 2, 1))))
             old = _active_value(env, bases[i][s])
-            if d == 2:
-                v = _bloch_from_env(env)
-                nv = np.linalg.norm(v)
-                if nv > 1e-14:
-                    bases[i][s] = _basis_from_bloch(v / nv)
-            else:
-                bases[i][s] = _basis_update(env, bases[i][s])
+            bases[i][s] = _basis_update(env, bases[i][s])
             _ascend(trace, trace[-1] + (_active_value(env, bases[i][s]) - old), "step")
 
 
 def _random_basis(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Random start: for a qubit the eigenbasis of u . sigma, +1 first; else a Haar unitary."""
+    if d == 2:
+        x, y, z = rng.standard_normal(3)
+        return np.linalg.eigh(np.array([[z, x - 1j * y], [x + 1j * y, -z]]))[1][:, ::-1]
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
     return q * ph
-
-
-def _random_bloch(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(3)
-    nv = np.linalg.norm(v)
-    return v / nv if nv > 0 else np.array([0.0, 0.0, 1.0])
-
-
-def _init_bases(rng, outcomes, settings):
-    bases = []
-    for d, m in zip(outcomes, settings):
-        per = []
-        for _ in range(m):
-            per.append(_basis_from_bloch(_random_bloch(rng)) if d == 2 else _random_basis(rng, d))
-        bases.append(per)
-    return bases
 
 
 def _bell_operator(bases, coeffs) -> np.ndarray:
@@ -278,7 +242,7 @@ def _restart_task(args):
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi /= np.linalg.norm(psi)
     psi_t = psi.reshape(outcomes)
-    bases = _init_bases(rng, outcomes, settings)
+    bases = [[_random_basis(rng, d) for _ in range(m)] for d, m in zip(outcomes, settings)]
     trace = [_objective(psi_t, bases, coeffs)]
     converged = False
     iters = 0
@@ -358,6 +322,8 @@ def optimize_measurements(
     psi = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
     if psi.shape != (int(np.prod(ineq.outcomes)),):
         raise ValueError("state dimension does not match the inequality register")
+    if getattr(state, "dims", ineq.outcomes) != ineq.outcomes:
+        raise ValueError("state register dims do not match the inequality's outcome counts")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
     root = _seed_seq if _seed_seq is not None else np.random.SeedSequence(cfg.seed)

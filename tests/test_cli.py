@@ -168,6 +168,31 @@ def test_oversized_grid_exits_3_before_building(monkeypatch, capsys, argv, point
     assert captured.err.splitlines() == [f"error: grid of {points} points exceeds the limit 100000"]
 
 
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["--step", "0.3"], [0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8]),
+        (["--stop", "1", "--step", "0.35"], [0.0, 0.35, 0.7]),
+        (["--stop", "0.3", "--step", "0.1"], [0.0, 0.1, 0.2, 0.3]),
+    ],
+)
+def test_scan_grid_stops_at_stop(monkeypatch, capsys, argv, params):
+    from magicwit import optimize
+
+    seen = []
+    monkeypatch.setattr(optimize, "gap_scan", lambda family, ps, cfg: seen.extend(ps) or [])
+    assert main(["scan", "tilted-chsh", *argv]) == 0
+    assert seen == pytest.approx(params)
+
+
+def test_scan_nan_step_is_user_error(monkeypatch, capsys):
+    from magicwit import optimize
+
+    monkeypatch.setattr(optimize, "gap_scan", lambda *a: pytest.fail("grid built"))
+    assert main(["scan", "tilted-chsh", "--step", "nan"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: step must be positive"]
+
+
 def test_env_seed_override():
     out = run_cli(["bounds", "tilted-chsh", "--which", "local"], env={"MAGICWIT_SEED": "99"})
     assert out.returncode == 0
@@ -209,6 +234,24 @@ def test_bounds_spec_file_over_strategy_budget_exits_3(tmp_path):
     assert out.returncode == 3
     assert "budget" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_coefficient_tensor_limit_exits_3_before_allocating(monkeypatch, tmp_path, capsys):
+    from magicwit import cli
+
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 16)
+    doc = {"parties": 2, "outcomes": [2, 2], "settings": [2, 2], "coefficients": []}
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(doc))
+    assert load_inequality_file(str(path)).coeffs.shape == (2, 2, 2, 2)
+    doc["settings"] = [3, 3]
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", str(path), "--which", "local"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: coefficient tensor of 36 entries exceeds the limit 16"
+    ]
 
 
 def test_bounds_from_spec_file(tmp_path):

@@ -27,7 +27,7 @@ from magicwit.optimize import (
     w_heatmap,
     w_state,
 )
-from magicwit.states import build_graph_state
+from magicwit.states import GraphState, build_graph_state
 
 CFG = OptimizerConfig(restarts=16, seed=7)
 
@@ -292,7 +292,7 @@ def test_objective_calls_per_restart(monkeypatch, ineq, free_state):
 
 
 @settings(max_examples=50, deadline=None)
-@given(d=st.sampled_from([3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+@given(d=st.sampled_from([2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
 def test_basis_update_is_unitary_monotone_and_best_relabeled(d, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
@@ -301,6 +301,10 @@ def test_basis_update_is_unitary_monotone_and_best_relabeled(d, seed):
     new = optimize._basis_update(bh, v)
     assert np.max(np.abs(new.conj().T @ new - np.eye(d))) <= 1e-10
     assert _score(bh, new) >= _score(bh, v) - 1e-9
+    if d == 2:
+        # The qubit step is exact: tr B_1 + the top eigenvalue of B_0 - B_1.
+        best = np.trace(bh[1]).real + np.linalg.eigvalsh(bh[0] - bh[1])[-1]
+        assert abs(_score(bh, new) - best) <= 1e-10
     # Reference: the looped search, the SVD basis under each cyclic relabeling.
     lam = min(np.linalg.eigvalsh(bh[a]).min() for a in range(d))
     w = np.column_stack([(bh[a] - lam * np.eye(d)) @ v[:, a] for a in range(d)])
@@ -308,6 +312,52 @@ def test_basis_update_is_unitary_monotone_and_best_relabeled(d, seed):
     svd_basis = p @ qh
     for t in range(d):
         assert _score(bh, new) >= _score(bh, svd_basis[:, (np.arange(d) + t) % d]) - 1e-9
+
+
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _basis_from_bloch(u):
+    """Eigenbasis of u . sigma for a unit Bloch vector u, the +1 eigenvector first."""
+    return np.linalg.eigh(u[0] * PAULI[0] + u[1] * PAULI[1] + u[2] * PAULI[2])[1][:, ::-1]
+
+
+def _bloch_step(bh):
+    """Qubit step by Pauli traces: u = v/|v| with v_k = tr(sigma_k (B_0 - B_1)) / 2."""
+    v = np.array([0.5 * np.trace(s @ (bh[0] - bh[1])).real for s in PAULI])
+    return _basis_from_bloch(v / np.linalg.norm(v))
+
+
+def _bloch_draw(rng):
+    """Qubit start from a normalized Gaussian Bloch vector."""
+    v = rng.standard_normal(3)
+    return _basis_from_bloch(v / np.linalg.norm(v))
+
+
+def _top_projector(basis):
+    return np.outer(basis[:, 0], basis[:, 0].conj())
+
+
+def test_qubit_step_matches_pauli_trace_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        z = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        bh = z + z.conj().transpose(0, 2, 1)
+        new = optimize._basis_update(bh, _haar_unitary(rng, 2))
+        assert np.max(np.abs(_top_projector(new) - _top_projector(_bloch_step(bh)))) <= 1e-12
+
+
+def test_qubit_draw_matches_bloch_oracle():
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = optimize._random_basis(rng, 2), _bloch_draw(ref)
+        assert np.max(np.abs(_top_projector(got) - _top_projector(want))) <= 1e-12
+        # Both consumed exactly three normals, so every later draw agrees too.
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_seesaw_decrease_raises_invariant_error():
@@ -376,6 +426,11 @@ def test_seed_changes_restart_stream():
 def test_state_dimension_guard():
     with pytest.raises(ValueError):
         optimize_measurements(catalog_tilted_chsh(0.0), np.ones(3) / np.sqrt(3), CFG)
+    # Same total dimension, registers in the other order.
+    ineq = BellInequality((2, 3), (2, 2), np.ones((2, 3, 2, 2)))
+    swapped = GraphState(dims=(3, 2), amplitudes=np.ones(6) / np.sqrt(6))
+    with pytest.raises(ValueError, match="register dims"):
+        optimize_measurements(ineq, swapped, CFG)
 
 
 def test_non_convergence_is_flagged_but_returns_value():
