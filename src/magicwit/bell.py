@@ -74,7 +74,7 @@ class Behavior:
         if t.min() < -1e-9:
             raise ValueError("behavior has negative probabilities")
         sums = t.sum(axis=tuple(range(len(outs))))
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
+        if not np.max(np.abs(sums - 1.0)) <= 1e-9:
             raise ValueError("behavior is not normalized per setting")
         t.setflags(write=False)
         object.__setattr__(self, "outcomes", outs)
@@ -125,16 +125,20 @@ def evaluate(ineq: BellInequality, p: Behavior) -> float:
 
 
 def amplitudes(t: np.ndarray, bases) -> np.ndarray:
-    """The Born-rule kernel: <b_(x,a)| t, one `tensordot` per party.
+    """The Born-rule kernel: <b_(x,a)| t, one batched matmul per party.
 
-    `t` has one leading axis per party, and bases[i] is party i's stack of
-    bases, shape (m_i, d_i, d_i), one column per outcome.  The result keeps
+    `t` has a leading batch axis, then one axis per party; bases[i] is party
+    i's stack of bases, shape (R or 1, m_i, d_i, d_i), one column per outcome,
+    and a batch of 1 serves every row.  The result keeps the batch axis and
     t's trailing axes in front, followed by one (x_i, a_i) pair per party.
     Unchecked: `behavior_from_state` validates its input and calls this;
     the see-saw calls it directly.
     """
     for stack in bases:
-        t = np.tensordot(t, np.conj(stack), axes=([0], [1]))
+        m, q, d = stack.shape[-3:]
+        k = np.conj(stack).swapaxes(-3, -2).reshape(*stack.shape[:-3], q, m * d)
+        amp = np.moveaxis(t, 1, -1).reshape(len(t), -1, q) @ k
+        t = amp.reshape(len(amp), *t.shape[2:], m, d)
     return t
 
 
@@ -164,7 +168,7 @@ def behavior_from_state(state, measurements) -> Behavior:
     if psi.shape != (int(np.prod(outcomes)),):
         raise ValueError("state dimension does not match the measurement register")
     n = len(bases)
-    amp = amplitudes(psi.reshape(outcomes), bases)
+    amp = amplitudes(psi.reshape((1,) + outcomes), [b[None] for b in bases])[0]
     table = np.abs(amp.transpose([2 * i + 1 for i in range(n)] + [2 * i for i in range(n)])) ** 2
     return Behavior(outcomes, settings, table)
 

@@ -48,7 +48,6 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=500, help="sweep limit per restart")
     p.add_argument("--tol", type=float, default=1e-9, help="objective-change stopping tolerance")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default MAGICWIT_SEED or 0)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for restarts")
 
 
 def _config(args) -> optimize.OptimizerConfig:
@@ -58,7 +57,6 @@ def _config(args) -> optimize.OptimizerConfig:
         max_iters=args.max_iters,
         tol=args.tol,
         seed=seed,
-        jobs=args.jobs,
     )
 
 
@@ -73,7 +71,7 @@ def _emit_manifest(command: str, extra: dict, wall: float) -> None:
 
 
 def _cfg_echo(cfg: optimize.OptimizerConfig) -> dict:
-    return {"seed": cfg.seed, "restarts": cfg.restarts, "tol": cfg.tol, "jobs": cfg.jobs}
+    return {"seed": cfg.seed, "restarts": cfg.restarts, "tol": cfg.tol}
 
 
 def _require_grid(points: float) -> None:

@@ -18,7 +18,7 @@ state update (top eigenvector of the Bell operator).  Every step is
 monotone, so each restart's trace is non-decreasing.
 
 Every Born-rule contraction (the objective, a party's environments, the Bell
-operator) goes through one kernel, `bell.amplitudes`: one `tensordot` per
+operator) goes through one kernel, `bell.amplitudes`: one batched matmul per
 party against that party's stacked bases.
 
 A measurement step is valued from its own environment: the objective is
@@ -28,16 +28,17 @@ runs inside a sweep.  The accumulated trace is checked against the Born rule
 (`_objective`) at the end of every fixed-state restart.  With a free state it
 is checked against <psi|B|psi> of the Bell operator before every state step,
 and the state step re-anchors it to `_objective`, which also values the
-restart.  Restarts draw their random starting points from seeds spawned
-per restart, which makes results independent of the worker count.
+restart.
+
+Every see-saw array has a leading restart axis, one row per restart (a batch
+of 1 for a state they share).  Each row draws its start from its own spawned
+seed and reads no other row, so results do not depend on the batching.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,20 +51,20 @@ class OptimizerConfig:
     """Knobs for the multi-restart see-saw.
 
     `tol` is the absolute objective change below which a restart stops.
-    `jobs` is an upper bound on the worker processes; see `_run_tasks`.
     """
 
     restarts: int = 64
     max_iters: int = 500
     tol: float = 1e-9
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_iters < 1 or self.jobs < 1:
-            raise ValueError("restarts, max_iters and jobs must be positive")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -98,52 +99,58 @@ class OptimizationReport:
 # Inner see-saw machinery
 # ---------------------------------------------------------------------------
 
+# Entries of the largest see-saw array, the Bell operator's K: restarts x
+# register x prod_i m_i d_i.  `_best_of_restarts` runs the restarts in batches
+# that stay under it.
+SEESAW_BUDGET = 1 << 20
 
-def _objective(psi_t, bases, coeffs) -> float:
-    n = psi_t.ndim
+
+def _objective(psi_t, bases, coeffs) -> np.ndarray:
+    """Bell value per restart; psi_t is (R or 1, d_1..d_n), bases[i] is (R, m_i, d_i, d_i)."""
+    n = len(bases)
     amp = bell.amplitudes(psi_t, bases)
-    probs = np.abs(amp.transpose([2 * i + 1 for i in range(n)] + [2 * i for i in range(n)])) ** 2
-    return float(np.sum(coeffs * probs))
+    probs = np.abs(amp.transpose([0, *range(2, 2 * n + 1, 2), *range(1, 2 * n, 2)])) ** 2
+    return np.sum(coeffs * probs, axis=tuple(range(1, 2 * n + 1)))
 
 
 def _contractions(psi_t, bases, party) -> np.ndarray:
     """psi contracted with the other parties' bases, for every setting tuple of theirs.
 
-    Entry [x, r, p] is the amplitude of outcome tuple r of the other parties,
-    measured in setting tuple x, with the active party's index p left open;
-    x and r run row-major over the other parties in order.  The stack does
-    not involve `party`'s own bases, so one serves every setting of a visit.
+    Entry [R, x, r, p] is restart R's amplitude of outcome tuple r of the
+    other parties in setting tuple x, with the active party's index p left
+    open; x and r run row-major over the other parties in order.  The stack
+    does not involve `party`'s own bases, so one serves a whole visit.
     """
-    d = psi_t.shape[party]
+    d = psi_t.shape[1 + party]
     # Measured in the one-setting identity stack, the active party's index stays open.
-    stacks = [np.eye(d)[None] if j == party else b for j, b in enumerate(bases)]
+    stacks = [np.eye(d)[None, None] if j == party else b for j, b in enumerate(bases)]
     amp = bell.amplitudes(psi_t, stacks)
-    others = [j for j in range(psi_t.ndim) if j != party]
-    axes = [2 * j for j in others]
-    axes += [ax + 1 for ax in axes] + [2 * party, 2 * party + 1]
-    return amp.transpose(axes).reshape(math.prod(len(bases[j]) for j in others), -1, d)
+    others = [j for j in range(len(bases)) if j != party]
+    axes = [2 * j + 1 for j in others]
+    axes = [0, *axes, *(ax + 1 for ax in axes), 2 * party + 1, 2 * party + 2]
+    return amp.transpose(axes).reshape(len(amp), math.prod(len(bases[j][0]) for j in others), -1, d)
 
 
 def _environments(c, coeffs, party, setting) -> np.ndarray:
-    """Stack of outcome operators B[a] for the active (party, setting).
+    """Stacks of outcome operators B[R, a] for the active (party, setting).
 
     `c` is the party's `_contractions` stack.  The objective is
     sum_a <v_a|B[a]|v_a> over the active basis {v_a} plus terms that do not
     involve it, so a basis update changes the objective by the change in
-    that sum.  `_sweep_measurements` values each step that way, and
-    `_restart_task` checks the summed steps against the Born rule.
+    that sum.  `_restarts` values each step that way and checks the summed
+    steps against the Born rule.
     """
-    nx, nr, d = c.shape
+    _, nx, nr, d = c.shape
     w = np.take(coeffs, setting, axis=coeffs.ndim // 2 + party)
     w = np.moveaxis(w, party, 0).reshape(d, nr, nx)
     # x is summed last, one setting tuple after another: restarts that tie on
     # a plateau are ranked by rounding, so the order decides which one is
     # reported.
-    return np.einsum("arx,xrp,xrq->xapq", w, c, c.conj()).sum(axis=0)
+    return np.einsum("arx,Rxrp,Rxrq->Rxapq", w, c, c.conj()).sum(axis=1)
 
 
 def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One monotone alignment step for an orthonormal eigenbasis.
+    """One monotone alignment step per restart, bh (R, d, d, d), basis v (R, d, d).
 
     For d = 2 the step is exact: the value is tr B_1 + <v_0|B_0 - B_1|v_0>,
     maximized by the eigenbasis of B_0 - B_1 with the top vector first.
@@ -152,50 +159,35 @@ def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
     searches the d cyclic relabelings t, scored by sum_a G[a, (a + t) mod d]
     with G[a, c] = <v_c|B_a|v_c>; ties go to the smallest t.
     """
-    d = v.shape[0]
+    d = v.shape[-1]
     if d == 2:
-        return np.linalg.eigh(bh[0] - bh[1])[1][:, ::-1]
-    lam = np.linalg.eigvalsh(bh).min()
-    w = np.einsum("apq,qa->pa", bh, v) - lam * v
+        return np.linalg.eigh(bh[:, 0] - bh[:, 1])[1][..., ::-1]
+    lam = np.linalg.eigvalsh(bh).min(axis=(1, 2))
+    w = np.einsum("Rapq,Rqa->Rpa", bh, v) - lam[:, None, None] * v
     p, _, qh = np.linalg.svd(w)
     vnew = p @ qh
-    g = np.einsum("pc,apq,qc->ac", vnew.conj(), bh, vnew).real
+    g = np.einsum("Rpc,Rapq,Rqc->Rac", vnew.conj(), bh, vnew).real
     a = np.arange(d)
     cols = (a[None, :] + a[:, None]) % d
-    return vnew[:, cols[np.argmax(g[a, cols].sum(axis=1))]]
+    best = np.argmax(g[:, a, cols].sum(axis=2), axis=1)
+    return np.take_along_axis(vnew, cols[best][:, None, :], axis=2)
 
 
-def _ascend(trace: list, val: float, step: str) -> None:
-    """Append a see-saw value after checking that `step` did not lower it."""
-    require(val >= trace[-1] - 1e-9 * (1.0 + abs(trace[-1])), f"see-saw {step} decreased")
+def _ascend(trace: list, val, step: str) -> None:
+    """Append see-saw values, one per running restart, after checking that `step` lowered none."""
+    last = trace[-1]
+    require(np.all(val >= last - 1e-9 * (1.0 + np.abs(last))), f"see-saw {step} decreased")
     trace.append(val)
 
 
-def _require_on_trace(trace: list, val: float) -> None:
-    """Check the environment-valued trace against an independent contraction."""
-    require(abs(val - trace[-1]) <= 1e-8, "see-saw trace drifted from the objective")
+def _require_on_trace(last, val) -> None:
+    """Check the environment-valued trace against an independent contraction, row by row."""
+    require(np.all(np.abs(val - last) <= 1e-8), "see-saw trace drifted from the objective")
 
 
-def _active_value(b: np.ndarray, v: np.ndarray) -> float:
-    """sum_a Re <v_a|B[a]|v_a>: the active basis's share of the objective."""
-    return float(np.einsum("pa,apq,qa->", v.conj(), b, v).real)
-
-
-def _sweep_measurements(psi_t, bases, coeffs, settings, trace) -> None:
-    """Update every (party, setting) once, valuing each step from its environment.
-
-    A step appends trace[-1] plus the change in `_active_value`; no Born-rule
-    contraction of the whole objective runs here.  `_restart_task` ties the
-    accumulated trace back to `_objective`.
-    """
-    for i in range(len(settings)):
-        c = _contractions(psi_t, bases, i)
-        for s in range(settings[i]):
-            env = _environments(c, coeffs, i, s)
-            env = 0.5 * (env + np.conj(np.transpose(env, (0, 2, 1))))
-            old = _active_value(env, bases[i][s])
-            bases[i][s] = _basis_update(env, bases[i][s])
-            _ascend(trace, trace[-1] + (_active_value(env, bases[i][s]) - old), "step")
+def _active_value(b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_a Re <v_a|B[a]|v_a> per restart: the active basis's share of the objective."""
+    return np.einsum("Rpa,Rapq,Rqa->R", v.conj(), b, v).real
 
 
 def _random_basis(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -211,99 +203,113 @@ def _random_basis(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _bell_operator(bases, coeffs) -> np.ndarray:
-    """sum_(x,a) w[a, x] |b_xa><b_xa|; the kernel on the identity gives K[Q, (x, a)] = <b_xa|Q>."""
+    """sum_(x,a) w[a, x] |b_xa><b_xa| per restart; on the identity the kernel gives K[R, Q, xa]."""
     n = len(bases)
     dim = math.prod(coeffs.shape[:n])
-    k = bell.amplitudes(np.eye(dim).reshape(coeffs.shape[:n] + (dim,)), bases).reshape(dim, -1)
+    k = bell.amplitudes(np.eye(dim).reshape((1, *coeffs.shape[:n], dim)), bases)
+    k = k.reshape(k.shape[0], dim, -1)
     w = coeffs.transpose([ax for i in range(n) for ax in (n + i, i)]).reshape(-1)
-    return (k.conj() * w) @ k.T
+    return (k.conj() * w) @ k.swapaxes(-1, -2)
 
 
 def _top_eigvec(op: np.ndarray) -> np.ndarray:
-    """Leading eigenvector; degenerate tops break ties on |first component|."""
-    vals, vecs = np.linalg.eigh(0.5 * (op + op.conj().T))
-    top = vals[-1]
-    idx = [k for k in range(len(vals)) if vals[k] >= top - 1e-12]
-    best = max(idx, key=lambda k: abs(vecs[0, k]))
-    return np.ascontiguousarray(vecs[:, best])
+    """Leading eigenvector per restart; degenerate tops break ties on |first component|."""
+    vals, vecs = np.linalg.eigh(0.5 * (op + op.conj().swapaxes(-1, -2)))
+    score = np.where(vals >= vals[:, -1:] - 1e-12, np.abs(vecs[:, 0, :]), -1.0)
+    best = np.argmax(score, axis=1)
+    return np.ascontiguousarray(np.take_along_axis(vecs, best[:, None, None], axis=2)[..., 0])
 
 
-def _restart_task(args):
-    """One see-saw restart from a seeded random start.
+def _restarts(coeffs, outcomes, settings, psi, max_iters, tol, seeds):
+    """One see-saw per seed, each restart a row of one batch.
 
-    With `psi` None the state is free: it is drawn before the bases, and each
-    sweep is followed by the state step (top eigenvector of the Bell operator).
+    A restart draws its start from its own seed: a free state (`psi` None)
+    first, then the bases party by party.  Each iteration sweeps the rows
+    still running, then takes the state step if the state is free; a row
+    stops once a sweep gains less than `tol`.
     """
-    coeffs, outcomes, settings, psi, max_iters, tol, seed_seq = args
-    rng = np.random.default_rng(seed_seq)
+    rngs = [np.random.default_rng(s) for s in seeds]
     free_state = psi is None
     if free_state:
-        dim = int(np.prod(outcomes))
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi /= np.linalg.norm(psi)
-    psi_t = psi.reshape(outcomes)
-    bases = [[_random_basis(rng, d) for _ in range(m)] for d, m in zip(outcomes, settings)]
-    trace = [_objective(psi_t, bases, coeffs)]
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        before = trace[-1]
-        _sweep_measurements(psi_t, bases, coeffs, settings, trace)
+        dim = math.prod(outcomes)
+        psi = np.stack([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs])
+        psi /= np.array([[np.linalg.norm(p)] for p in psi])
+    psi_t = psi.reshape(-1, *outcomes)
+    bases = [
+        np.stack([[_random_basis(rng, d) for _ in range(m)] for rng in rngs])
+        for d, m in zip(outcomes, settings)
+    ]
+    value = _objective(psi_t, bases, coeffs)
+    traces = [[v] for v in value.tolist()]
+    iters = np.zeros(len(rngs), dtype=int)
+    converged = np.zeros(len(rngs), dtype=bool)
+    for it in range(1, max_iters + 1):
+        rows = np.flatnonzero(~converged)
+        sub = [b[rows] for b in bases]
+        sub_t = psi_t[rows] if free_state else psi_t
+        trace = [value[rows]]
+        for i in range(len(settings)):
+            c = _contractions(sub_t, sub, i)
+            for s in range(settings[i]):
+                env = _environments(c, coeffs, i, s)
+                env = 0.5 * (env + np.conj(env.swapaxes(-1, -2)))
+                old = _active_value(env, sub[i][:, s])
+                sub[i][:, s] = _basis_update(env, sub[i][:, s])
+                _ascend(trace, trace[-1] + (_active_value(env, sub[i][:, s]) - old), "step")
         if free_state:
-            op = _bell_operator(bases, coeffs)
+            op = _bell_operator(sub, coeffs)
+            vec = sub_t.reshape(len(rows), -1)
             # The state step re-anchors the trace, so check the sweep's first.
-            _require_on_trace(trace, np.vdot(psi, op @ psi).real)
-            psi = _top_eigvec(op)
-            psi_t = psi.reshape(outcomes)
-            _ascend(trace, _objective(psi_t, bases, coeffs), "state step")
-        if trace[-1] - before < tol:
-            converged = True
+            _require_on_trace(trace[-1], np.einsum("Rp,Rpq,Rq->R", vec.conj(), op, vec).real)
+            psi_t[rows] = sub_t = _top_eigvec(op).reshape(sub_t.shape)
+            _ascend(trace, _objective(sub_t, sub, coeffs), "state step")
+        for b, new in zip(bases, sub):
+            b[rows] = new
+        for r, steps in zip(rows, np.stack(trace[1:], axis=1).tolist()):
+            traces[r].extend(steps)
+        value[rows] = trace[-1]
+        iters[rows] = it
+        converged[rows] = trace[-1] - trace[0] < tol
+        if converged.all():
             break
-    if free_state:
-        # The last state step valued this state and these bases by `_objective`.
-        value = trace[-1]
-    else:
-        value = _objective(psi_t, bases, coeffs)
-        _require_on_trace(trace, value)
-    return value, bases, trace, iters, converged, psi
-
-
-def _run_tasks(fn: Callable, argslist: list, jobs: int) -> list:
-    # A pool starts all of its workers up front, so more workers than tasks
-    # or cores would only cost start-up time; results do not depend on the
-    # worker count.
-    workers = min(jobs, len(argslist), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(a) for a in argslist]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, argslist))
+    if not free_state:
+        final = _objective(psi_t, bases, coeffs)
+        _require_on_trace(value, final)
+        value = final
+    # With a free state the last state step valued every row by `_objective`.
+    return value, bases, traces, iters, converged, psi_t
 
 
 def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
     """Run one see-saw per seed spawned from `root`; re-check and report the best.
 
-    The best is the highest final value, the lowest restart index on ties.
+    The restarts run in batches of at most `SEESAW_BUDGET` entries of K.  The
+    best is the highest final value, the lowest restart index on ties.
     """
-    args = [
-        (ineq.coeffs, ineq.outcomes, ineq.settings, psi, cfg.max_iters, cfg.tol, s)
-        for s in root.spawn(cfg.restarts)
+    seeds = root.spawn(cfg.restarts)
+    size = max(1, SEESAW_BUDGET // (math.prod(ineq.outcomes) ** 2 * math.prod(ineq.settings)))
+    runs = [
+        _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, cfg.max_iters, cfg.tol, batch)
+        for batch in (seeds[lo : lo + size] for lo in range(0, cfg.restarts, size))
     ]
-    results = _run_tasks(_restart_task, args, cfg.jobs)
-    values = [r[0] for r in results]
+    values = np.concatenate([run[0] for run in runs])
     best = int(np.argmax(values))
-    _, bases, trace, iters, converged, psi = results[best]
-    reval = bell.evaluate(ineq, bell.behavior_from_state(psi, bases))
+    _, bases, traces, iters, converged, psis = runs[best // size]
+    k = best % size
+    state = psis[k].reshape(-1) if psi is None else psi
+    measurements = tuple(tuple(b[k]) for b in bases)
+    reval = bell.evaluate(ineq, bell.behavior_from_state(state, measurements))
     require(abs(reval - values[best]) <= 1e-8, "re-evaluation drifted from the see-saw value")
     return OptimizationReport(
         value=reval,
-        measurements=tuple(tuple(per) for per in bases),
-        state=psi,
+        measurements=measurements,
+        state=state,
         state_label=state_label,
         best_class=None,
-        restart_values=tuple(values),
-        iterations=iters,
-        converged=converged,
-        trace=tuple(trace),
+        restart_values=tuple(values.tolist()),
+        iterations=int(iters[k]),
+        converged=bool(converged[k]),
+        trace=tuple(traces[k]),
     )
 
 
@@ -324,7 +330,7 @@ def optimize_measurements(
         raise ValueError("state dimension does not match the inequality register")
     if getattr(state, "dims", ineq.outcomes) != ineq.outcomes:
         raise ValueError("state register dims do not match the inequality's outcome counts")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
         raise ValueError("state must be normalized")
     root = _seed_seq if _seed_seq is not None else np.random.SeedSequence(cfg.seed)
     return _best_of_restarts(ineq, psi, cfg, root, "fixed state")

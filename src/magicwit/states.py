@@ -43,7 +43,7 @@ class GraphState:
         amp = np.array(self.amplitudes, dtype=complex)
         if amp.shape != (int(np.prod(dims)),):
             raise ValueError("amplitude vector does not match register dims")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(amp) - 1.0) <= 1e-9:
             raise ValueError("state vector must be normalized")
         amp.setflags(write=False)
         object.__setattr__(self, "dims", dims)

@@ -48,6 +48,8 @@ def test_behavior_validation():
     neg = np.array([[1.1, -0.1], [0.5, 0.5]])
     with pytest.raises(ValueError):
         Behavior((2,), (2,), neg)
+    with pytest.raises(ValueError, match="normalized"):
+        Behavior((2,), (1,), [[np.nan], [0.0]])
 
 
 def test_fourier_of_constant_is_delta():

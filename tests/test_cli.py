@@ -113,8 +113,15 @@ def test_scan_deterministic_bytes():
     args = ["scan", "tilted-chsh", "--start", "0", "--stop", "0.4", "--step", "0.4", *FAST]
     a = run_cli(args)
     b = run_cli(args)
-    c = run_cli(args + ["--jobs", "2"])
-    assert a.stdout == b.stdout == c.stdout
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+
+
+def test_jobs_flag_is_gone():
+    out = run_cli(["scan", "tilted-chsh", "--step", "1", *FAST, "--jobs", "2"])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "--jobs" in out.stderr
 
 
 def test_scan_range_validation():
@@ -207,6 +214,20 @@ def test_env_seed_in_process(monkeypatch, capsys):
     monkeypatch.setenv("MAGICWIT_SEED", "abc")
     assert main(args) == 2
     assert "MAGICWIT_SEED must be an integer" in capsys.readouterr().err
+
+
+def test_negative_seed_is_user_error_before_any_work(monkeypatch, capsys):
+    # The seed is checked with the other see-saw settings, before the local
+    # bound or any grid point runs.
+    assert main(["bounds", "tilted-chsh", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: seed must be a non-negative integer"]
+    monkeypatch.setenv("MAGICWIT_SEED", "-3")
+    assert main(["heatmap", "--theta-steps", "2", "--phi-steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: seed must be a non-negative integer"]
 
 
 def test_inequality_file_round_trip(tmp_path):

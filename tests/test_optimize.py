@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -196,6 +197,24 @@ def _bell_operator_by_kron(bases, coeffs):
     return op
 
 
+ROWS = 3  # restarts per batch in the tests of the private see-saw steps
+
+
+def _random_rows(rng, outcomes, settings):
+    """ROWS restarts' bases, as lists per restart and as the batched (R, m, d, d) stacks."""
+    rows = [
+        [[_haar_unitary(rng, d) for _ in range(m)] for d, m in zip(outcomes, settings)]
+        for _ in range(ROWS)
+    ]
+    return rows, [np.stack([np.stack(r[i]) for r in rows]) for i in range(len(outcomes))]
+
+
+def _random_states(rng, outcomes):
+    dim = int(np.prod(outcomes))
+    psi = rng.standard_normal((ROWS, dim)) + 1j * rng.standard_normal((ROWS, dim))
+    return (psi / np.linalg.norm(psi, axis=1, keepdims=True)).reshape(ROWS, *outcomes)
+
+
 @pytest.mark.parametrize("outcomes", [(3, 3), (2, 3), (2, 2, 2), (2, 2)])
 def test_bell_operator_matches_born_rule(outcomes):
     # <psi|B|psi> is the Bell value of the Born-rule behavior, and B is the
@@ -204,16 +223,16 @@ def test_bell_operator_matches_born_rule(outcomes):
     rng = np.random.default_rng(sum(outcomes))
     settings = (2, 3, 2)[: len(outcomes)]
     ineq = BellInequality(outcomes, settings, rng.uniform(-1.0, 1.0, outcomes + settings))
-    dim = int(np.prod(outcomes))
-    for _ in range(5):
-        bases = [[_haar_unitary(rng, d) for _ in range(m)] for d, m in zip(outcomes, settings)]
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi /= np.linalg.norm(psi)
-        op = optimize._bell_operator(bases, ineq.coeffs)
-        assert np.max(np.abs(op - op.conj().T)) <= 1e-12
-        assert np.max(np.abs(op - _bell_operator_by_kron(bases, ineq.coeffs))) <= 1e-12
-        want = evaluate(ineq, behavior_from_state(psi, bases))
-        assert abs(np.vdot(psi, op @ psi) - want) <= 1e-12
+    for _ in range(2):
+        rows, stacks = _random_rows(rng, outcomes, settings)
+        ops = optimize._bell_operator(stacks, ineq.coeffs)
+        assert ops.shape[0] == ROWS
+        for op, bases, psi in zip(ops, rows, _random_states(rng, outcomes)):
+            psi = psi.reshape(-1)
+            assert np.max(np.abs(op - op.conj().T)) <= 1e-12
+            assert np.max(np.abs(op - _bell_operator_by_kron(bases, ineq.coeffs))) <= 1e-12
+            want = evaluate(ineq, behavior_from_state(psi, bases))
+            assert abs(np.vdot(psi, op @ psi) - want) <= 1e-12
 
 
 def _score(b, u):
@@ -226,27 +245,30 @@ def test_environment_gives_objective_change(outcomes):
     # The objective is affine in each basis: replacing bases[i][s] by V moves
     # it by the change in sum_a <v_a|B_a|v_a> over that setting's environment.
     # The objective and the contraction stacks also match a loop over setting tuples.
+    # Every step runs on a batch of restarts and is checked row by row.
     rng = np.random.default_rng(10 * len(outcomes) + sum(outcomes))
     settings = (2, 3, 2)[: len(outcomes)]
     coeffs = rng.uniform(-1.0, 1.0, outcomes + settings)
-    dim = int(np.prod(outcomes))
-    for _ in range(3):
-        bases = [[_haar_unitary(rng, d) for _ in range(m)] for d, m in zip(outcomes, settings)]
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi_t = (psi / np.linalg.norm(psi)).reshape(outcomes)
-        before = optimize._objective(psi_t, bases, coeffs)
-        assert abs(before - _objective_by_setting_loop(psi_t, bases, coeffs)) <= 1e-12
-        for i, d in enumerate(outcomes):
-            c = optimize._contractions(psi_t, bases, i)
-            want = _contractions_by_setting_loop(psi_t, bases, i)
-            assert c.shape == want.shape and np.max(np.abs(c - want)) <= 1e-12
-            for s in range(settings[i]):
-                b = optimize._environments(c, coeffs, i, s)
-                v = _haar_unitary(rng, d)
-                moved = [list(per) for per in bases]
-                moved[i][s] = v
-                change = optimize._objective(psi_t, moved, coeffs) - before
-                assert abs(change - (_score(b, v) - _score(b, bases[i][s]))) <= 1e-12
+    rows, stacks = _random_rows(rng, outcomes, settings)
+    psi_t = _random_states(rng, outcomes)
+    before = optimize._objective(psi_t, stacks, coeffs)
+    assert before.shape == (ROWS,)
+    for r in range(ROWS):
+        assert abs(before[r] - _objective_by_setting_loop(psi_t[r], rows[r], coeffs)) <= 1e-12
+    for i, d in enumerate(outcomes):
+        c = optimize._contractions(psi_t, stacks, i)
+        for s in range(settings[i]):
+            b = optimize._environments(c, coeffs, i, s)
+            v = np.stack([_haar_unitary(rng, d) for _ in range(ROWS)])
+            moved = [x.copy() for x in stacks]
+            moved[i][:, s] = v
+            change = optimize._objective(psi_t, moved, coeffs) - before
+            for r in range(ROWS):
+                gain = _score(b[r], v[r]) - _score(b[r], rows[r][i][s])
+                assert abs(change[r] - gain) <= 1e-12
+        for r in range(ROWS):
+            want = _contractions_by_setting_loop(psi_t[r], rows[r], i)
+            assert c[r].shape == want.shape and np.max(np.abs(c[r] - want)) <= 1e-12
 
 
 def _skew_environments(monkeypatch):
@@ -255,7 +277,7 @@ def _skew_environments(monkeypatch):
 
     def skewed(c, coeffs, party, setting):
         b = real(c, coeffs, party, setting)
-        b[0, -1, -1] += 1e-3
+        b[:, 0, -1, -1] += 1e-3
         return b
 
     monkeypatch.setattr(optimize, "_environments", skewed)
@@ -285,8 +307,8 @@ def test_objective_calls_per_restart(monkeypatch, ineq, free_state):
     monkeypatch.setattr(optimize, "_objective", lambda *a: calls.append(1) or real(*a))
     dim = int(np.prod(ineq.outcomes))
     psi = None if free_state else np.ones(dim, dtype=complex) / np.sqrt(dim)
-    args = (ineq.coeffs, ineq.outcomes, ineq.settings, psi, 500, 1e-9, np.random.SeedSequence(3))
-    iters = optimize._restart_task(args)[3]
+    seeds = [np.random.SeedSequence(3)]
+    iters = optimize._restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, 500, 1e-9, seeds)[3][0]
     assert iters > 1
     assert len(calls) == (1 + iters if free_state else 2)
 
@@ -295,23 +317,24 @@ def test_objective_calls_per_restart(monkeypatch, ineq, free_state):
 @given(d=st.sampled_from([2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
 def test_basis_update_is_unitary_monotone_and_best_relabeled(d, seed):
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
-    bh = z + z.conj().transpose(0, 2, 1)
-    v = _haar_unitary(rng, d)
-    new = optimize._basis_update(bh, v)
-    assert np.max(np.abs(new.conj().T @ new - np.eye(d))) <= 1e-10
-    assert _score(bh, new) >= _score(bh, v) - 1e-9
-    if d == 2:
-        # The qubit step is exact: tr B_1 + the top eigenvalue of B_0 - B_1.
-        best = np.trace(bh[1]).real + np.linalg.eigvalsh(bh[0] - bh[1])[-1]
-        assert abs(_score(bh, new) - best) <= 1e-10
-    # Reference: the looped search, the SVD basis under each cyclic relabeling.
-    lam = min(np.linalg.eigvalsh(bh[a]).min() for a in range(d))
-    w = np.column_stack([(bh[a] - lam * np.eye(d)) @ v[:, a] for a in range(d)])
-    p, _, qh = np.linalg.svd(w)
-    svd_basis = p @ qh
-    for t in range(d):
-        assert _score(bh, new) >= _score(bh, svd_basis[:, (np.arange(d) + t) % d]) - 1e-9
+    z = rng.standard_normal((ROWS, d, d, d)) + 1j * rng.standard_normal((ROWS, d, d, d))
+    bhs = z + z.conj().swapaxes(-1, -2)
+    vs = np.stack([_haar_unitary(rng, d) for _ in range(ROWS)])
+    news = optimize._basis_update(bhs, vs)
+    for bh, v, new in zip(bhs, vs, news):
+        assert np.max(np.abs(new.conj().T @ new - np.eye(d))) <= 1e-10
+        assert _score(bh, new) >= _score(bh, v) - 1e-9
+        if d == 2:
+            # The qubit step is exact: tr B_1 + the top eigenvalue of B_0 - B_1.
+            best = np.trace(bh[1]).real + np.linalg.eigvalsh(bh[0] - bh[1])[-1]
+            assert abs(_score(bh, new) - best) <= 1e-10
+        # Reference: the looped search, the SVD basis under each cyclic relabeling.
+        lam = min(np.linalg.eigvalsh(bh[a]).min() for a in range(d))
+        w = np.column_stack([(bh[a] - lam * np.eye(d)) @ v[:, a] for a in range(d)])
+        p, _, qh = np.linalg.svd(w)
+        svd_basis = p @ qh
+        for t in range(d):
+            assert _score(bh, new) >= _score(bh, svd_basis[:, (np.arange(d) + t) % d]) - 1e-9
 
 
 PAULI = (
@@ -344,20 +367,41 @@ def _top_projector(basis):
 
 def test_qubit_step_matches_pauli_trace_oracle():
     rng = np.random.default_rng(17)
-    for _ in range(50):
-        z = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-        bh = z + z.conj().transpose(0, 2, 1)
-        new = optimize._basis_update(bh, _haar_unitary(rng, 2))
-        assert np.max(np.abs(_top_projector(new) - _top_projector(_bloch_step(bh)))) <= 1e-12
+    for _ in range(20):
+        z = rng.standard_normal((ROWS, 2, 2, 2)) + 1j * rng.standard_normal((ROWS, 2, 2, 2))
+        bhs = z + z.conj().swapaxes(-1, -2)
+        news = optimize._basis_update(bhs, np.stack([_haar_unitary(rng, 2) for _ in range(ROWS)]))
+        for bh, new in zip(bhs, news):
+            assert np.max(np.abs(_top_projector(new) - _top_projector(_bloch_step(bh)))) <= 1e-12
 
 
 def test_qubit_draw_matches_bloch_oracle():
-    for seed in range(20):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, want = optimize._random_basis(rng, 2), _bloch_draw(ref)
-        assert np.max(np.abs(_top_projector(got) - _top_projector(want))) <= 1e-12
-        # Both consumed exactly three normals, so every later draw agrees too.
-        assert rng.bit_generator.state == ref.bit_generator.state
+    # A batch draws its rows the way `_restarts` does, one generator per restart.
+    for seed in range(0, 21, ROWS):
+        rngs = [np.random.default_rng(s) for s in range(seed, seed + ROWS)]
+        refs = [np.random.default_rng(s) for s in range(seed, seed + ROWS)]
+        got = np.stack([optimize._random_basis(rng, 2) for rng in rngs])
+        for g, rng, ref in zip(got, rngs, refs):
+            want = _bloch_draw(ref)
+            assert np.max(np.abs(_top_projector(g) - _top_projector(want))) <= 1e-12
+            # Both consumed exactly three normals, so every later draw agrees too.
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_top_eigvec_breaks_degenerate_ties_on_first_component():
+    # Row by row against the rule as a loop: among the eigenvectors whose
+    # eigenvalue is within 1e-12 of the top, the largest |first component|
+    # wins, the lowest index on ties.
+    rng = np.random.default_rng(5)
+    us = [_haar_unitary(rng, 4) for _ in range(ROWS)]
+    ops = np.stack([u @ np.diag([1.0, 1.0, 0.5, 0.0]) @ u.conj().T for u in us])
+    ops[1] = np.diag([0.0, 2.0, 2.0, 1.0])  # exact tie in |first component|
+    got = optimize._top_eigvec(ops)
+    for op, vec in zip(ops, got):
+        vals, vecs = np.linalg.eigh(0.5 * (op + op.conj().T))
+        idx = [k for k in range(len(vals)) if vals[k] >= vals[-1] - 1e-12]
+        assert len(idx) == 2
+        assert np.array_equal(vec, vecs[:, max(idx, key=lambda k: abs(vecs[0, k]))])
 
 
 def test_seesaw_decrease_raises_invariant_error():
@@ -374,46 +418,26 @@ def test_bound_sandwich_tilted():
     assert stab <= quant + 1e-6
 
 
-def test_reproducibility_and_worker_independence():
-    ineq = catalog_tilted_chsh(0.4)
-    r1 = quantum_value(ineq, CFG)
-    r2 = quantum_value(ineq, CFG)
-    assert r1.value == r2.value
-    assert r1.restart_values == r2.restart_values
-    r3 = quantum_value(ineq, OptimizerConfig(restarts=16, seed=7, jobs=2))
-    assert r1.value == r3.value
-    assert r1.restart_values == r3.restart_values
+def _report_fields(rep):
+    meas = [[basis.tobytes() for basis in per] for per in rep.measurements]
+    return rep.value, rep.restart_values, rep.trace, rep.iterations, rep.state.tobytes(), meas
 
 
-def test_worker_pool_is_capped_by_tasks_and_cores(monkeypatch):
-    # The fake pool records its size and starts no process.
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(optimize, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(optimize.os, "cpu_count", lambda: 4)
-    ineq = catalog_tilted_chsh(0.4)
-    serial = quantum_value(ineq, OptimizerConfig(restarts=3, seed=7))
-    capped = quantum_value(ineq, OptimizerConfig(restarts=3, seed=7, jobs=10**6))
-    assert sizes == [3]
-    assert capped.restart_values == serial.restart_values
-    quantum_value(ineq, OptimizerConfig(restarts=9, seed=7, jobs=10**6))
-    assert sizes == [3, 4]
-    monkeypatch.setattr(optimize.os, "cpu_count", lambda: None)
-    quantum_value(ineq, OptimizerConfig(restarts=3, seed=7, jobs=10**6))
-    assert sizes == [3, 4]  # an unknown core count runs serially
+@pytest.mark.parametrize("ineq", [catalog_tilted_chsh(0.4), catalog_cglmp(3)], ids=lambda q: q.name)
+def test_reports_do_not_depend_on_the_batch(monkeypatch, ineq):
+    # Restarts run in batches of SEESAW_BUDGET entries of K; batches of 3 give
+    # the same reports, bit for bit, as one batch of all 16.
+    dim = int(np.prod(ineq.outcomes))
+    psi = np.exp(1j * np.arange(dim)) / np.sqrt(dim)
+    whole = [quantum_value(ineq, CFG), optimize_measurements(ineq, psi, CFG)]
+    assert [_report_fields(r) for r in whole] == [
+        _report_fields(r) for r in (quantum_value(ineq, CFG), optimize_measurements(ineq, psi, CFG))
+    ]
+    k_entries = dim**2 * math.prod(ineq.settings)
+    assert optimize.SEESAW_BUDGET >= CFG.restarts * k_entries
+    monkeypatch.setattr(optimize, "SEESAW_BUDGET", 3 * k_entries + 1)
+    thirds = [quantum_value(ineq, CFG), optimize_measurements(ineq, psi, CFG)]
+    assert [_report_fields(r) for r in thirds] == [_report_fields(r) for r in whole]
 
 
 def test_seed_changes_restart_stream():
@@ -431,6 +455,9 @@ def test_state_dimension_guard():
     swapped = GraphState(dims=(3, 2), amplitudes=np.ones(6) / np.sqrt(6))
     with pytest.raises(ValueError, match="register dims"):
         optimize_measurements(ineq, swapped, CFG)
+    # NaN compares false with every tolerance, so it must not pass the norm check.
+    with pytest.raises(ValueError, match="normalized"):
+        optimize_measurements(catalog_tilted_chsh(0.7), np.array([np.nan, 0, 0, 0]), CFG)
 
 
 def test_non_convergence_is_flagged_but_returns_value():
@@ -446,6 +473,8 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(tol=0.0)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        OptimizerConfig(seed=-1)
 
 
 def test_gap_scan_rows():

@@ -60,6 +60,8 @@ def test_two_qubit_edge_state():
 def test_graph_state_normalization_guard():
     with pytest.raises(ValueError):
         GraphState(dims=(2,), amplitudes=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        GraphState(dims=(2,), amplitudes=np.array([np.nan, 0.0]))
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (2, 5)])
