@@ -23,6 +23,7 @@ import numpy as np
 from magicwit.algebra import is_unitary, require_prime
 from magicwit.errors import ResourceLimitError
 
+# Most deterministic strategies `local_bound` enumerates; more raise ResourceLimitError.
 DEFAULT_STRATEGY_BUDGET = 1 << 24
 
 
@@ -173,7 +174,7 @@ def behavior_from_state(state, measurements) -> Behavior:
     return Behavior(outcomes, settings, table)
 
 
-def local_bound(ineq: BellInequality, budget: int = DEFAULT_STRATEGY_BUDGET) -> float:
+def local_bound(ineq: BellInequality) -> float:
     """Exact maximum over deterministic local strategies.
 
     The vertices of the local polytope are deterministic assignments, so by
@@ -189,8 +190,10 @@ def local_bound(ineq: BellInequality, budget: int = DEFAULT_STRATEGY_BUDGET) -> 
     """
     counts = [d**m for d, m in zip(ineq.outcomes, ineq.settings)]
     total = math.prod(counts)
-    if total > budget:
-        raise ResourceLimitError(f"{total} deterministic strategies exceed the budget {budget}")
+    if total > DEFAULT_STRATEGY_BUDGET:
+        raise ResourceLimitError(
+            f"{total} deterministic strategies exceed the budget {DEFAULT_STRATEGY_BUDGET}"
+        )
     n = ineq.parties
     k = counts.index(max(counts))
     # Axes: (a_j, x_j) for each other party j in order, then (a_k, x_k).

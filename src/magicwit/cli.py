@@ -178,7 +178,7 @@ def _resolve_inequality(args) -> bell.BellInequality:
 
 def cmd_classes(args) -> int:
     t0 = time.perf_counter()
-    cat = graphs.enumerate_classes(args.n, args.d, args.budget)
+    cat = graphs.enumerate_classes(args.n, args.d)
     if args.json:
         payload = {
             "n": cat.n,
@@ -214,13 +214,7 @@ def cmd_bounds(args) -> int:
         out["quantum"] = optimize.quantum_value(ineq, cfg).value
     if "stabilizer" in out and "quantum" in out:
         out["gap"] = out["quantum"] - out["stabilizer"]
-    out["manifest"] = {
-        "command": "bounds",
-        "version": magicwit.__version__,
-        "seed": cfg.seed,
-        "restarts": cfg.restarts,
-        "tol": cfg.tol,
-    }
+    out["manifest"] = {"command": "bounds", "version": magicwit.__version__, **_cfg_echo(cfg)}
     print(json.dumps(out, sort_keys=True, indent=2))
     _emit_manifest("bounds", _cfg_echo(cfg), time.perf_counter() - t0)
     return EXIT_OK
@@ -300,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, help="number of vertices")
     p.add_argument("d", type=int, help="prime local dimension")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--budget", type=int, default=graphs.DEFAULT_ENUM_BUDGET)
     p.set_defaults(fn=cmd_classes)
 
     p = sub.add_parser("bounds", help="local/stabilizer/quantum values of one inequality")

@@ -2,7 +2,10 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration or a grid would exceed its configured budget."""
+    """An enumeration, a grid, a coefficient tensor or a see-saw register would exceed its limit.
+
+    Every limit is a module constant, checked before the large array is allocated.
+    """
 
 
 class InvariantError(AssertionError):

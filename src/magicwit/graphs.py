@@ -19,6 +19,7 @@ import numpy as np
 from magicwit.algebra import require_prime
 from magicwit.errors import ResourceLimitError
 
+# Most matrices `enumerate_classes` codes; a larger register raises ResourceLimitError.
 DEFAULT_ENUM_BUDGET = 1 << 24
 
 
@@ -154,7 +155,7 @@ def _move_images(code: np.ndarray, n: int, d: int, place: dict) -> Iterator[np.n
             yield img
 
 
-def enumerate_classes(n: int, d: int, budget: int = DEFAULT_ENUM_BUDGET) -> OrbitCatalog:
+def enumerate_classes(n: int, d: int) -> OrbitCatalog:
     """Partition all n-vertex adjacency matrices over F_d into M/L orbits.
 
     Each matrix is coded as the integer whose base-d digits are its
@@ -178,9 +179,10 @@ def enumerate_classes(n: int, d: int, budget: int = DEFAULT_ENUM_BUDGET) -> Orbi
         raise ValueError("need at least one vertex")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     total = d ** len(pairs)
-    if total > budget:
+    if total > DEFAULT_ENUM_BUDGET:
         raise ResourceLimitError(
-            f"{total} matrices at (n={n}, d={d}) exceed the enumeration budget {budget}"
+            f"{total} matrices at (n={n}, d={d}) exceed the enumeration budget "
+            f"{DEFAULT_ENUM_BUDGET}"
         )
     place = {}
     for p, (i, j) in enumerate(pairs):
@@ -236,16 +238,8 @@ class ClusterFamily:
         """Yield every choice of one orbit representative per cluster."""
         yield from itertools.product(*(b.catalog.representatives for b in self.blocks))
 
-    def count(self) -> int:
-        out = 1
-        for b in self.blocks:
-            out *= len(b.catalog)
-        return out
 
-
-def cluster_representatives(
-    dims: Sequence[int], budget: int = DEFAULT_ENUM_BUDGET
-) -> ClusterFamily:
+def cluster_representatives(dims: Sequence[int]) -> ClusterFamily:
     """Group equal dimensions into clusters and enumerate one catalog each.
 
     Singleton clusters have a single class (the 1x1 zero matrix), so a
@@ -261,7 +255,7 @@ def cluster_representatives(
             ClusterBlock(
                 dim=dval,
                 parties=parties,
-                catalog=enumerate_classes(len(parties), dval, budget),
+                catalog=enumerate_classes(len(parties), dval),
             )
         )
     return ClusterFamily(dims=dims, blocks=tuple(blocks))

@@ -38,13 +38,13 @@ seed and reads no other row, so results do not depend on the batching.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from magicwit import bell, graphs, states
-from magicwit.errors import require
+from magicwit.errors import ResourceLimitError, require
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -101,8 +101,11 @@ class OptimizationReport:
 
 # Entries of the largest see-saw array, the Bell operator's K: restarts x
 # register x prod_i m_i d_i.  `_best_of_restarts` runs the restarts in batches
-# that stay under it.
+# that stay under it; a restart whose own K is over it runs alone, over budget.
 SEESAW_BUDGET = 1 << 20
+# Entries of one restart's K (register^2 x prod_i m_i).  Over it, the see-saw
+# exits with ResourceLimitError before it allocates anything.
+SEESAW_REGISTER_LIMIT = 1 << 24
 
 
 def _objective(psi_t, bases, coeffs) -> np.ndarray:
@@ -286,8 +289,14 @@ def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
     The restarts run in batches of at most `SEESAW_BUDGET` entries of K.  The
     best is the highest final value, the lowest restart index on ties.
     """
+    entries = math.prod(ineq.outcomes) ** 2 * math.prod(ineq.settings)
+    if entries > SEESAW_REGISTER_LIMIT:
+        raise ResourceLimitError(
+            f"see-saw register of {entries} entries per restart exceeds the limit "
+            f"{SEESAW_REGISTER_LIMIT}"
+        )
     seeds = root.spawn(cfg.restarts)
-    size = max(1, SEESAW_BUDGET // (math.prod(ineq.outcomes) ** 2 * math.prod(ineq.settings)))
+    size = max(1, SEESAW_BUDGET // entries)
     runs = [
         _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, cfg.max_iters, cfg.tol, batch)
         for batch in (seeds[lo : lo + size] for lo in range(0, cfg.restarts, size))
@@ -336,6 +345,19 @@ def optimize_measurements(
     return _best_of_restarts(ineq, psi, cfg, root, "fixed state")
 
 
+def _per_state(ineq, fixed_states: Sequence, cfg: OptimizerConfig) -> Iterator[OptimizationReport]:
+    """One `optimize_measurements` report per state, made lazily.
+
+    State k draws its restarts from child k of `SeedSequence(cfg.seed)`.  A
+    caller that keeps only the values holds one report at a time.
+    """
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(fixed_states))
+    return (
+        optimize_measurements(ineq, state, cfg, _seed_seq=seed)
+        for state, seed in zip(fixed_states, seeds)
+    )
+
+
 def stabilizer_value(
     ineq: bell.BellInequality, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptimizationReport:
@@ -348,25 +370,17 @@ def stabilizer_value(
     achieving class and the per-class values.
     """
     family = graphs.cluster_representatives(ineq.outcomes)
-    class_seeds = np.random.SeedSequence(cfg.seed).spawn(family.count())
-    best_report = None
-    best_assignment = None
-    class_values = []
-    for idx, assignment in enumerate(family.assignments()):
-        gs = states.assemble_cluster_state(family, assignment)
-        rep = optimize_measurements(ineq, gs, cfg, _seed_seq=class_seeds[idx])
-        class_values.append(rep.value)
-        if best_report is None or rep.value > best_report.value:
-            best_report = rep
-            best_assignment = assignment
-    label = " (+) ".join(
-        f"d={a.d} edges={a.edges() or '-'}" for a in best_assignment
-    )
+    classes = list(family.assignments())
+    gs = [states.assemble_cluster_state(family, a) for a in classes]
+    reports = list(_per_state(ineq, gs, cfg))
+    class_values = tuple(rep.value for rep in reports)
+    best = int(np.argmax(class_values))
+    label = " (+) ".join(f"d={a.d} edges={a.edges() or '-'}" for a in classes[best])
     return replace(
-        best_report,
+        reports[best],
         state_label=f"graph state [{label}]",
-        best_class=best_assignment,
-        class_values=tuple(class_values),
+        best_class=classes[best],
+        class_values=class_values,
     )
 
 
@@ -427,12 +441,6 @@ def w_heatmap(
     if any(not 0.0 <= t <= np.pi for t in thetas + phis):
         raise ValueError("grid angles must lie in [0, pi]")
     ineq = bell.catalog_svetlichny_r2()
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(thetas) * len(phis))
-    out = np.empty((len(thetas), len(phis)))
-    k = 0
-    for i, t in enumerate(thetas):
-        for j, p in enumerate(phis):
-            rep = optimize_measurements(ineq, w_state(t, p), cfg, _seed_seq=seeds[k])
-            out[i, j] = rep.value
-            k += 1
-    return out
+    grid = [w_state(t, p) for t in thetas for p in phis]
+    values = [rep.value for rep in _per_state(ineq, grid, cfg)]
+    return np.reshape(values, (len(thetas), len(phis)))

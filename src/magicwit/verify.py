@@ -144,10 +144,9 @@ def check_tilted_chsh_curve() -> str:
     t0 = time.perf_counter()
     cfg = optimize.OptimizerConfig(seed=2)
     worst_s = worst_q = 0.0
-    for alpha in np.arange(0.0, 2.0, 0.25):
-        ineq = bell.catalog_tilted_chsh(alpha)
-        stab = optimize.stabilizer_value(ineq, cfg).value
-        quant = optimize.quantum_value(ineq, cfg).value
+    for row in optimize.gap_scan(bell.catalog_tilted_chsh, np.arange(0.0, 2.0, 0.25), cfg):
+        alpha, stab, quant, gap = row.param, row.stabilizer, row.quantum, row.gap
+        require(abs(row.local - (2.0 + alpha)) <= 1e-9, f"alpha={alpha}: local {row.local}")
         stab_closed = max(2.0 * np.sqrt(2.0), 2.0 + alpha)
         quant_closed = np.sqrt(8.0 + 2.0 * alpha**2)
         require(
@@ -156,7 +155,6 @@ def check_tilted_chsh_curve() -> str:
         require(
             abs(quant - quant_closed) <= 1e-5, f"alpha={alpha}: quantum {quant} vs {quant_closed}"
         )
-        gap = quant - stab
         if quant_closed - stab_closed > 1e-12:
             require(gap > 0.0, f"alpha={alpha}: gap should be positive, got {gap}")
         else:
@@ -172,10 +170,10 @@ def check_cglmp_table() -> str:
     cfg = optimize.OptimizerConfig(seed=5)
     table = {3: (2.8729, 2.9149), 5: (2.9105, 3.0157), 7: (2.9272, 3.0776)}
     details = []
-    for d, (stab_ref, quant_ref) in table.items():
-        ineq = bell.catalog_cglmp(d)
-        stab = optimize.stabilizer_value(ineq, cfg).value
-        quant = optimize.quantum_value(ineq, cfg).value
+    rows = optimize.gap_scan(bell.catalog_cglmp, list(table), cfg)
+    for (d, (stab_ref, quant_ref)), row in zip(table.items(), rows):
+        stab, quant = row.stabilizer, row.quantum
+        require(abs(row.local - 2.0) <= 1e-9, f"d={d}: local {row.local} vs 2")
         stab_tol = 5e-4 if d == 3 else 1e-3
         require(abs(stab - stab_ref) <= stab_tol, f"d={d}: stabilizer {stab} vs {stab_ref}")
         require(abs(quant - quant_ref) <= 1e-3, f"d={d}: quantum {quant} vs {quant_ref}")

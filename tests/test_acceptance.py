@@ -36,8 +36,8 @@ def test_fault_injection_is_caught(monkeypatch):
 
     real = graphs.enumerate_classes
 
-    def corrupted(n, d, budget=graphs.DEFAULT_ENUM_BUDGET):
-        cat = real(n, d, budget)
+    def corrupted(n, d):
+        cat = real(n, d)
         return graphs.OrbitCatalog(
             n=cat.n,
             d=cat.d,
@@ -58,8 +58,8 @@ from magicwit import graphs, verify
 real = graphs.enumerate_classes
 
 
-def corrupted(n, d, budget=graphs.DEFAULT_ENUM_BUDGET):
-    cat = real(n, d, budget)
+def corrupted(n, d):
+    cat = real(n, d)
     return graphs.OrbitCatalog(
         n=cat.n, d=cat.d,
         representatives=cat.representatives[:-1], orbit_sizes=cat.orbit_sizes[:-1],

@@ -239,10 +239,14 @@ def test_cglmp_d2_is_a_chsh_variant():
     assert np.max(np.abs(f[0, 1])) <= 1e-12 and np.max(np.abs(f[1, 0])) <= 1e-12
 
 
-def test_local_bound_budget_guard():
+def test_local_bound_budget_guard(monkeypatch):
+    # The budget is read at each call: 2^2 x 2^2 strategies exceed 15.
     ineq = BellInequality((2, 2), (2, 2), np.zeros((2, 2, 2, 2)))
-    with pytest.raises(ResourceLimitError):
-        local_bound(ineq, budget=3)
+    monkeypatch.setattr("magicwit.bell.DEFAULT_STRATEGY_BUDGET", 15)
+    with pytest.raises(ResourceLimitError, match="16 deterministic strategies exceed the budget"):
+        local_bound(ineq)
+    monkeypatch.setattr("magicwit.bell.DEFAULT_STRATEGY_BUDGET", 16)
+    assert local_bound(ineq) == 0.0
 
 
 def _local_bound_by_strategy_loop(ineq):

@@ -275,6 +275,28 @@ def test_coefficient_tensor_limit_exits_3_before_allocating(monkeypatch, tmp_pat
     ]
 
 
+@pytest.mark.parametrize("which", ["quantum", "stab"])
+def test_seesaw_register_limit_exits_3_before_allocating(monkeypatch, capsys, which):
+    from magicwit import optimize
+
+    # Tilted CHSH: a 4-dimensional register at 2 x 2 settings, 4^2 x 4 = 64 entries of K.
+    monkeypatch.setattr(optimize, "SEESAW_REGISTER_LIMIT", 63)
+    monkeypatch.setattr(optimize, "_restarts", lambda *a: pytest.fail("see-saw ran"))
+    assert main(["bounds", "tilted-chsh", "--which", which, *FAST]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: see-saw register of 64 entries per restart exceeds the limit 63"
+    ]
+
+
+def test_budget_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "3", "2", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_bounds_from_spec_file(tmp_path):
     path = tmp_path / "chsh.json"
     path.write_text(json.dumps(inequality_to_json(catalog_tilted_chsh(0.0))))

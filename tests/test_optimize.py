@@ -18,7 +18,7 @@ from magicwit.bell import (
     local_bound,
 )
 from magicwit.errors import InvariantError
-from magicwit.graphs import AdjacencyMatrix
+from magicwit.graphs import AdjacencyMatrix, cluster_representatives
 from magicwit.optimize import (
     OptimizerConfig,
     gap_scan,
@@ -28,7 +28,7 @@ from magicwit.optimize import (
     w_heatmap,
     w_state,
 )
-from magicwit.states import GraphState, build_graph_state
+from magicwit.states import GraphState, assemble_cluster_state, build_graph_state
 
 CFG = OptimizerConfig(restarts=16, seed=7)
 
@@ -488,6 +488,44 @@ def test_gap_scan_rows():
     assert rows[0].local == 2.0 and rows[2].local == 4.0
     quantum = [r.quantum for r in rows]
     assert quantum == sorted(quantum)
+
+
+def test_state_k_draws_from_child_k_of_the_seed():
+    # Grid point k and class k run optimize_measurements on child k of
+    # SeedSequence(cfg.seed), bit for bit.
+    ineq = catalog_svetlichny_r2()
+    cfg = OptimizerConfig(restarts=4, seed=3)
+
+    def by_child(fixed_states):
+        children = np.random.SeedSequence(cfg.seed).spawn(len(fixed_states))
+        return [
+            optimize_measurements(ineq, state, cfg, _seed_seq=child).value
+            for state, child in zip(fixed_states, children)
+        ]
+
+    thetas, phis = [0.3, 1.1], [0.2, 0.9, 2.0]
+    heat = w_heatmap(thetas, phis, cfg)
+    assert heat.shape == (2, 3)
+    assert heat.reshape(-1).tolist() == by_child([w_state(t, p) for t in thetas for p in phis])
+
+    family = cluster_representatives(ineq.outcomes)
+    classes = list(family.assignments())
+    expected = by_child([assemble_cluster_state(family, a) for a in classes])
+    rep = stabilizer_value(ineq, cfg)
+    assert list(rep.class_values) == expected
+    assert rep.value == max(expected)
+    assert rep.best_class == classes[expected.index(max(expected))]
+
+
+def test_gap_scan_row_reuses_the_seed_at_every_point():
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    rows = gap_scan(catalog_tilted_chsh, [0.6, 1.4], cfg)
+    for row, alpha in zip(rows, [0.6, 1.4]):
+        ineq = catalog_tilted_chsh(alpha)
+        stab, quant = stabilizer_value(ineq, cfg).value, quantum_value(ineq, cfg).value
+        assert (row.local, row.stabilizer, row.quantum, row.gap) == (
+            local_bound(ineq), stab, quant, quant - stab
+        )
 
 
 def _svetlichny_only():
