@@ -18,14 +18,11 @@ from magicwit.algebra import (
 from magicwit.bell import (
     Behavior,
     BellInequality,
-    CorrelatorForm,
     behavior_from_state,
     catalog_cglmp,
     catalog_svetlichny_r2,
     catalog_tilted_chsh,
-    correlators_from_behavior,
     evaluate,
-    fourier_coefficients,
     local_bound,
 )
 from magicwit.errors import ResourceLimitError
@@ -35,9 +32,6 @@ from magicwit.graphs import (
     OrbitCatalog,
     cluster_representatives,
     enumerate_classes,
-    l_move,
-    lc_orbit,
-    m_move,
 )
 from magicwit.optimize import (
     OptimizationReport,

@@ -1,21 +1,15 @@
 """Bell inequalities as coefficient tensors over outcomes and settings.
 
-The probability-form tensor I[a_1..a_n, x_1..x_n] is the canonical
-representation; the correlator (Fourier) form is derived from it.  The
-transform pair is fixed so that
-
-    sum_{k,x} It[k,x] * C[k,x]  ==  sum_{a,x} I[a,x] * p(a|x)
-
-with C[k,x] = sum_a exp(+2*pi*i * sum_j k_j a_j / d_j) p(a|x), which ties
-C to the unitary observables U = sum_a omega^a M_a.  The coefficient
-transform therefore carries the conjugate kernel.
+The probability-form tensor I[a_1..a_n, x_1..x_n] is the one representation:
+an inequality's value on a behavior p(a|x) is sum_{a,x} I[a,x] p(a|x).  A
+catalog entry written as a correlator expansion (CGLMP) is transformed to
+it when built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,41 +75,6 @@ class Behavior:
         object.__setattr__(self, "outcomes", outs)
         object.__setattr__(self, "settings", sets)
         object.__setattr__(self, "table", t)
-
-
-@dataclass(frozen=True)
-class CorrelatorForm:
-    """Fourier-side coefficients It[k_1..k_n, x_1..x_n] of an inequality."""
-
-    outcomes: tuple[int, ...]
-    settings: tuple[int, ...]
-    coeffs: np.ndarray
-
-
-def _outcome_kernels(outcomes: Sequence[int], sign: float) -> list[np.ndarray]:
-    return [
-        np.exp(sign * 2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-        for d in outcomes
-    ]
-
-
-def _contract_outcomes(table: np.ndarray, kernels: list[np.ndarray]) -> np.ndarray:
-    out = np.asarray(table, dtype=complex)
-    for axis, ker in enumerate(kernels):
-        out = np.moveaxis(np.tensordot(ker, out, axes=([1], [axis])), 0, axis)
-    return out
-
-
-def fourier_coefficients(ineq: BellInequality) -> CorrelatorForm:
-    """Correlator-form coefficients of a probability-form inequality."""
-    kers = _outcome_kernels(ineq.outcomes, -1.0)
-    coeffs = _contract_outcomes(ineq.coeffs, kers) / float(np.prod(ineq.outcomes))
-    return CorrelatorForm(ineq.outcomes, ineq.settings, coeffs)
-
-
-def correlators_from_behavior(p: Behavior) -> np.ndarray:
-    """Generalized correlators C[k, x], the DFT of p over the outcome axes."""
-    return _contract_outcomes(p.table, _outcome_kernels(p.outcomes, +1.0))
 
 
 def evaluate(ineq: BellInequality, p: Behavior) -> float:
@@ -257,7 +216,11 @@ def catalog_cglmp(d: int) -> BellInequality:
         for l in range(1, d):
             corr[l, (d - l) % d, x, x] += cl[l] / d
             corr[l, (d - l) % d, x, (x + 1) % 2] += np.conj(cl[l]) * w ** (x * l) / d
-    prob = _contract_outcomes(corr, _outcome_kernels((d, d), +1.0))
+    # p-form I[a, b] = sum_{k, l} omega^(a k + b l) It[k, l], one outcome axis at a time.
+    ker = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    prob = corr
+    for axis in (0, 1):
+        prob = np.moveaxis(np.tensordot(ker, prob, axes=([1], [axis])), 0, axis)
     if np.max(np.abs(prob.imag)) > 1e-9:
         raise AssertionError("CGLMP expansion should produce a real tensor")
     return BellInequality((d, d), (2, 2), prob.real, name=f"cglmp(d={d})")

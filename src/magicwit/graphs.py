@@ -1,11 +1,10 @@
-"""Adjacency matrices over a prime field, local moves, and orbit catalogs.
+"""Adjacency matrices over a prime field and their local-Clifford orbit catalogs.
 
 A graph-state class is encoded by a symmetric zero-diagonal matrix over F_d.
 Two matrices describe locally Clifford-equivalent states exactly when they
 are connected by vertex scalings (M moves) and weighted local
-complementations (L moves).  `lc_orbit` closes one matrix under those moves
-breadth-first; `enumerate_classes` labels every matrix of a register with
-its orbit at once, by sweeps over integer-coded matrices.
+complementations (L moves).  `enumerate_classes` labels every matrix of a
+register with its orbit at once, by sweeps over integer-coded matrices.
 """
 
 from __future__ import annotations
@@ -40,6 +39,14 @@ class AdjacencyMatrix:
         a.setflags(write=False)
         self.entries = a
 
+    @classmethod
+    def _trusted(cls, d: int, entries: np.ndarray) -> AdjacencyMatrix:
+        """Wrap a read-only int64 matrix already reduced mod d, symmetric, zero-diagonal."""
+        a = object.__new__(cls)
+        a.d = d
+        a.entries = entries
+        return a
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -70,45 +77,6 @@ class AdjacencyMatrix:
 
     def __repr__(self) -> str:
         return f"AdjacencyMatrix(d={self.d}, n={self.n}, edges={self.edges()!r})"
-
-
-def m_move(a: AdjacencyMatrix, v: int, b: int) -> AdjacencyMatrix:
-    """Scale row and column v by the field unit b."""
-    b = b % a.d
-    if b == 0:
-        raise ValueError("m_move scale must be a nonzero field element")
-    out = a.entries.copy()
-    out[v, :] = out[v, :] * b % a.d
-    out[:, v] = out[:, v] * b % a.d
-    return AdjacencyMatrix(a.d, out)
-
-
-def l_move(a: AdjacencyMatrix, v: int, c: int) -> AdjacencyMatrix:
-    """Weighted local complementation at vertex v: A_ij += c * A_vi * A_vj."""
-    row = a.entries[v]
-    out = (a.entries + c * np.outer(row, row)) % a.d
-    np.fill_diagonal(out, 0)
-    return AdjacencyMatrix(a.d, out)
-
-
-def lc_orbit(a: AdjacencyMatrix) -> tuple[AdjacencyMatrix, ...]:
-    """Closure of {a} under all M and L moves, sorted lexicographically."""
-    seen = {a.key(): a}
-    frontier = [a]
-    while frontier:
-        cur = frontier.pop()
-        for v in range(cur.n):
-            for b in range(2, cur.d):
-                nb = m_move(cur, v, b)
-                if nb.key() not in seen:
-                    seen[nb.key()] = nb
-                    frontier.append(nb)
-            for c in range(1, cur.d):
-                nb = l_move(cur, v, c)
-                if nb.key() not in seen:
-                    seen[nb.key()] = nb
-                    frontier.append(nb)
-    return tuple(seen[k] for k in sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -174,7 +142,7 @@ def enumerate_classes(n: int, d: int) -> OrbitCatalog:
     the smallest code of its orbit.  Move images are recomputed each sweep,
     so only a few code-length integer vectors are alive at a time.
     """
-    require_prime(d)
+    d = require_prime(d)
     if n < 1:
         raise ValueError("need at least one vertex")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -184,9 +152,10 @@ def enumerate_classes(n: int, d: int) -> OrbitCatalog:
             f"{total} matrices at (n={n}, d={d}) exceed the enumeration budget "
             f"{DEFAULT_ENUM_BUDGET}"
         )
+    place_values = d ** np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
     place = {}
-    for p, (i, j) in enumerate(pairs):
-        place[i, j] = place[j, i] = d ** (len(pairs) - 1 - p)
+    for (i, j), v in zip(pairs, place_values.tolist()):
+        place[i, j] = place[j, i] = v
     # Move arithmetic stays below total * d (a product of two digits when n = 2).
     code = np.arange(total, dtype=np.int32 if total * d <= np.iinfo(np.int32).max else np.int64)
     label = code.copy()
@@ -202,14 +171,15 @@ def enumerate_classes(n: int, d: int) -> OrbitCatalog:
         if np.array_equal(label, before):
             break
     reps, sizes = np.unique(label, return_counts=True)
-    representatives = []
-    for r in reps.tolist():
-        m = np.zeros((n, n), dtype=np.int64)
-        for i, j in pairs:
-            m[i, j] = m[j, i] = r // place[i, j] % d
-        representatives.append(AdjacencyMatrix(d, m))
+    # Digits in pair order fill the upper triangles (row-major, as `pairs`).
+    rows, cols = np.triu_indices(n, 1)
+    upper = np.zeros((len(reps), n, n), dtype=np.int64)
+    upper[:, rows, cols] = reps[:, None] // place_values % d
+    mats = upper + upper.transpose(0, 2, 1)
+    mats.setflags(write=False)
+    representatives = tuple(AdjacencyMatrix._trusted(d, m) for m in mats)
     return OrbitCatalog(
-        n=n, d=d, representatives=tuple(representatives), orbit_sizes=tuple(sizes.tolist())
+        n=n, d=d, representatives=representatives, orbit_sizes=tuple(sizes.tolist())
     )
 
 

@@ -77,6 +77,12 @@ class OptimizationReport:
     in the benchmark's oracles, a test in tests/test_bell.py) and a loop
     over setting tuples in tests/test_optimize.py.
 
+    `restart_values`, `restart_iterations` and `restart_converged` hold each
+    restart's final value, sweep count and convergence flag, in seed order.
+    `iterations` and `converged` repeat the best restart's entries; a restart
+    that ran to `max_iters` without converging shows in the tuples even when
+    it is not the best.
+
     `class_values` (stabilizer reports only) holds the best value found per
     graph-state class at the configured restarts.  Each entry is a lower
     bound on that class's maximum, not the maximum itself: a class whose
@@ -89,6 +95,8 @@ class OptimizationReport:
     state_label: str
     best_class: object
     restart_values: tuple[float, ...]
+    restart_iterations: tuple[int, ...]
+    restart_converged: tuple[bool, ...]
     iterations: int
     converged: bool
     trace: tuple[float, ...]
@@ -301,9 +309,9 @@ def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
         _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, cfg.max_iters, cfg.tol, batch)
         for batch in (seeds[lo : lo + size] for lo in range(0, cfg.restarts, size))
     ]
-    values = np.concatenate([run[0] for run in runs])
+    values, iters, converged = (np.concatenate([run[i] for run in runs]) for i in (0, 3, 4))
     best = int(np.argmax(values))
-    _, bases, traces, iters, converged, psis = runs[best // size]
+    _, bases, traces, _, _, psis = runs[best // size]
     k = best % size
     state = psis[k].reshape(-1) if psi is None else psi
     measurements = tuple(tuple(b[k]) for b in bases)
@@ -316,8 +324,10 @@ def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
         state_label=state_label,
         best_class=None,
         restart_values=tuple(values.tolist()),
-        iterations=int(iters[k]),
-        converged=bool(converged[k]),
+        restart_iterations=tuple(iters.tolist()),
+        restart_converged=tuple(converged.tolist()),
+        iterations=int(iters[best]),
+        converged=bool(converged[best]),
         trace=tuple(traces[k]),
     )
 

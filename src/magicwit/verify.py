@@ -223,23 +223,6 @@ def check_coprime_local_cap() -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_dft_round_trip() -> str:
-    rng = np.random.default_rng(99)
-    for outcomes in ((2, 2), (3, 3), (2, 2, 2)):
-        settings = (2,) * len(outcomes)
-        for _ in range(100):
-            coeffs = rng.uniform(-1.0, 1.0, size=outcomes + settings)
-            ineq = bell.BellInequality(outcomes, settings, coeffs)
-            table = rng.uniform(0.0, 1.0, size=outcomes + settings)
-            table /= table.sum(axis=tuple(range(len(outcomes))), keepdims=True)
-            p = bell.Behavior(outcomes, settings, table)
-            lhs = np.sum(bell.fourier_coefficients(ineq).coeffs * bell.correlators_from_behavior(p))
-            rhs = bell.evaluate(ineq, p)
-            require(abs(lhs.imag) <= 1e-9, f"round trip has imaginary part {lhs.imag}")
-            require(abs(lhs.real - rhs) <= 1e-9, f"round trip off by {abs(lhs.real - rhs)}")
-    return "300 random inequality/behavior pairs round-trip within 1e-9"
-
-
 def _representative_states():
     for n, d in ((2, 2), (3, 2), (2, 3), (2, 5)):
         for rep in graphs.enumerate_classes(n, d).representatives:
@@ -350,7 +333,6 @@ CHECKS: tuple[Check, ...] = (
     Check("cglmp-table", False, check_cglmp_table),
     Check("tripartite-witness", False, check_tripartite_witness),
     Check("coprime-local-cap", False, check_coprime_local_cap),
-    Check("dft-round-trip", True, check_dft_round_trip),
     Check("stabilizer-fixed-points", True, check_stabilizer_fixed_points),
     Check("graph-state-constructions", True, check_graph_state_constructions),
     Check("cluster-purity", True, check_cluster_purity),

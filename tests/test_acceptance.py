@@ -24,7 +24,7 @@ def test_acceptance(check):
 def test_every_check_is_registered_once():
     names = [c.name for c in verify.CHECKS]
     assert len(names) == len(set(names))
-    assert len(names) == 13
+    assert len(names) == 12
     quick = [c.name for c in verify.CHECKS if c.quick]
     assert "orbit-counts" in quick and "cglmp-table" not in quick
 

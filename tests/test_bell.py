@@ -13,9 +13,7 @@ from magicwit.bell import (
     catalog_cglmp,
     catalog_svetlichny_r2,
     catalog_tilted_chsh,
-    correlators_from_behavior,
     evaluate,
-    fourier_coefficients,
     local_bound,
 )
 from magicwit.errors import ResourceLimitError
@@ -52,61 +50,27 @@ def test_behavior_validation():
         Behavior((2,), (1,), [[np.nan], [0.0]])
 
 
-def test_fourier_of_constant_is_delta():
-    coeffs = np.ones((3, 3, 2, 2))
-    form = fourier_coefficients(BellInequality((3, 3), (2, 2), coeffs))
-    want = np.zeros((3, 3, 2, 2), dtype=complex)
-    want[0, 0, :, :] = 1.0
-    assert np.max(np.abs(form.coeffs - want)) <= 1e-12
+def _correlator_weights(ineq):
+    """It[k, x] = sum_a exp(-2 pi i k.a / d) I[a, x] / prod(d), a DFT over the outcome axes.
 
-
-def test_fourier_hermiticity_for_real_coefficients():
-    rng = np.random.default_rng(0)
-    ineq = BellInequality((3, 3), (2, 2), rng.uniform(-1, 1, size=(3, 3, 2, 2)))
-    f = fourier_coefficients(ineq).coeffs
-    for k1, k2 in itertools.product(range(3), repeat=2):
-        assert np.allclose(f[k1, k2], np.conj(f[(-k1) % 3, (-k2) % 3]))
+    With C[k, x] = sum_a exp(+2 pi i k.a / d) p(a|x), sum It C = sum I p.
+    """
+    axes = tuple(range(ineq.parties))
+    return np.fft.fftn(ineq.coeffs, axes=axes) / np.prod(ineq.outcomes)
 
 
 @pytest.mark.parametrize("outcomes", [(2, 2), (3, 3), (2, 2, 2)])
 def test_dft_round_trip(outcomes):
+    # Pins the sign and normalization of the weights the catalog tests below assert.
     rng = np.random.default_rng(42)
     settings = (2,) * len(outcomes)
     for _ in range(100):
         ineq = BellInequality(outcomes, settings, rng.uniform(-1, 1, size=outcomes + settings))
         p = random_behavior(rng, outcomes, settings)
-        lhs = np.sum(fourier_coefficients(ineq).coeffs * correlators_from_behavior(p))
+        corr = np.fft.ifftn(p.table, axes=tuple(range(len(outcomes)))) * np.prod(outcomes)
+        lhs = np.sum(_correlator_weights(ineq) * corr)
         assert abs(lhs.imag) <= 1e-9
         assert abs(lhs.real - evaluate(ineq, p)) <= 1e-9
-
-
-def test_correlators_uniform_behavior():
-    c = correlators_from_behavior(uniform_behavior((3, 3), (2, 2)))
-    want = np.zeros((3, 3, 2, 2), dtype=complex)
-    want[0, 0] = 1.0
-    assert np.max(np.abs(c - want)) <= 1e-12
-
-
-def test_correlators_perfectly_correlated_qutrits():
-    table = np.zeros((3, 3, 2, 2))
-    for a in range(3):
-        table[a, a, :, :] = 1.0 / 3.0
-    c = correlators_from_behavior(Behavior((3, 3), (2, 2), table))
-    for k, l in itertools.product(range(3), repeat=2):
-        want = 1.0 if (k + l) % 3 == 0 else 0.0
-        assert abs(c[k, l, 0, 0] - want) <= 1e-12
-
-
-def test_correlators_reduce_to_parity_for_qubits():
-    rng = np.random.default_rng(3)
-    p = random_behavior(rng, (2, 2), (2, 2))
-    c = correlators_from_behavior(p)
-    for x1, x2 in itertools.product(range(2), repeat=2):
-        parity = sum(
-            (-1.0) ** (a1 + a2) * p.table[a1, a2, x1, x2]
-            for a1, a2 in itertools.product(range(2), repeat=2)
-        )
-        assert abs(c[1, 1, x1, x2] - parity) <= 1e-12
 
 
 def _zbasis():
@@ -148,7 +112,7 @@ def _random_unitary(rng, d):
 
 @pytest.mark.parametrize("outcomes", [(2, 2), (3, 3), (2, 3), (2, 2, 2)])
 def test_behavior_from_state_matches_one_einsum(outcomes):
-    # Independent of the one-tensordot-per-party kernel: one einsum contracts
+    # Independent of the one-matmul-per-party kernel: one einsum contracts
     # the state with every party's stacked bases, p[a, x] = |<a_x|psi>|^2.
     rng = np.random.default_rng(sum(outcomes))
     settings = (2, 3, 2)[: len(outcomes)]
@@ -200,7 +164,7 @@ def test_tilted_on_deterministic_zero_behavior(alpha):
 
 
 def test_tilted_correlator_weights():
-    form = fourier_coefficients(catalog_tilted_chsh(0.8)).coeffs
+    form = _correlator_weights(catalog_tilted_chsh(0.8))
     for x1, x2 in itertools.product(range(2), repeat=2):
         assert form[1, 1, x1, x2] == pytest.approx((-1.0) ** (x1 * x2))
         want_marginal = 0.4 if x1 == 0 else 0.0
@@ -232,7 +196,7 @@ def test_local_bound_cglmp(d):
 
 
 def test_cglmp_d2_is_a_chsh_variant():
-    f = fourier_coefficients(catalog_cglmp(2)).coeffs
+    f = _correlator_weights(catalog_cglmp(2))
     weights = [f[1, 1, x1, x2].real for x1, x2 in itertools.product(range(2), repeat=2)]
     assert sorted(np.abs(weights)) == pytest.approx([1.0, 1.0, 1.0, 1.0])
     assert np.prod(weights) == pytest.approx(-1.0)  # exactly one sign flip

@@ -442,7 +442,7 @@ def test_verify_quick_under_python_O():
         text=True,
     )
     assert out.returncode == 0
-    assert "6/6 checks passed" in out.stdout
+    assert "5/5 checks passed" in out.stdout
 
 
 def test_seesaw_self_check_failure_exits_1(monkeypatch, capsys):

@@ -8,9 +8,6 @@ from magicwit.graphs import (
     AdjacencyMatrix,
     cluster_representatives,
     enumerate_classes,
-    l_move,
-    lc_orbit,
-    m_move,
 )
 
 
@@ -19,6 +16,44 @@ def adj(d, n, edges):
     for i, j, w in edges:
         m[i, j] = m[j, i] = w
     return AdjacencyMatrix(d, m)
+
+
+def m_move(a, v, b):
+    """Scale row and column v by the field unit b."""
+    b = b % a.d
+    if b == 0:
+        raise ValueError("m_move scale must be a nonzero field element")
+    out = a.entries.copy()
+    out[v, :] = out[v, :] * b % a.d
+    out[:, v] = out[:, v] * b % a.d
+    return AdjacencyMatrix(a.d, out)
+
+
+def l_move(a, v, c):
+    """Weighted local complementation at vertex v: A_ij += c * A_vi * A_vj."""
+    row = a.entries[v]
+    out = (a.entries + c * np.outer(row, row)) % a.d
+    np.fill_diagonal(out, 0)
+    return AdjacencyMatrix(a.d, out)
+
+
+def lc_orbit(a):
+    """Closure of {a} under all M and L moves, sorted lexicographically.
+
+    Works one matrix at a time through the validating constructor, apart
+    from `enumerate_classes`, which it checks.
+    """
+    seen = {a.key(): a}
+    frontier = [a]
+    while frontier:
+        cur = frontier.pop()
+        moves = [m_move(cur, v, b) for v in range(cur.n) for b in range(2, cur.d)]
+        moves += [l_move(cur, v, c) for v in range(cur.n) for c in range(1, cur.d)]
+        for nb in moves:
+            if nb.key() not in seen:
+                seen[nb.key()] = nb
+                frontier.append(nb)
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def random_adjacency(rng, n, d):
@@ -140,7 +175,7 @@ def test_enumerate_classes_deterministic_and_lex_minimal():
 
 
 def _catalog_from_orbit_closures(n, d):
-    """Representatives and orbit sizes by breadth-first `lc_orbit` closures.
+    """Representatives and orbit sizes by `lc_orbit` closures.
 
     Matrices are visited in lexicographic order, so the first unseen member
     of each orbit is its smallest one.
@@ -166,6 +201,20 @@ def test_enumerate_classes_matches_orbit_closures(n, d):
     reps, sizes = _catalog_from_orbit_closures(n, d)
     assert [r.key() for r in cat.representatives] == reps
     assert cat.orbit_sizes == sizes
+
+
+@pytest.mark.parametrize(
+    "n,d", [(n, 2) for n in range(1, 7)] + [(n, 3) for n in (2, 3, 4)] + [(2, 5), (3, 5)]
+)
+def test_enumerate_classes_decodes_valid_matrices(n, d):
+    # Representatives skip the constructor's checks; they must pass them anyway.
+    for rep in enumerate_classes(n, d).representatives:
+        e = rep.entries
+        assert rep.d == d and e.shape == (n, n)
+        assert e.dtype == np.int64 and not e.flags.writeable
+        assert np.array_equal(e, e.T) and not np.diag(e).any()
+        assert e.min() >= 0 and e.max() < d
+        assert np.array_equal(e, AdjacencyMatrix(d, e).entries)
 
 
 def test_enumerate_classes_budget(monkeypatch):

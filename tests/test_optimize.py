@@ -420,7 +420,8 @@ def test_bound_sandwich_tilted():
 
 def _report_fields(rep):
     meas = [[basis.tobytes() for basis in per] for per in rep.measurements]
-    return rep.value, rep.restart_values, rep.trace, rep.iterations, rep.state.tobytes(), meas
+    telemetry = rep.restart_values, rep.restart_iterations, rep.restart_converged
+    return rep.value, telemetry, rep.trace, rep.iterations, rep.state.tobytes(), meas
 
 
 @pytest.mark.parametrize("ineq", [catalog_tilted_chsh(0.4), catalog_cglmp(3)], ids=lambda q: q.name)
@@ -466,6 +467,26 @@ def test_non_convergence_is_flagged_but_returns_value():
     assert not rep.converged
     assert np.isfinite(rep.value)
     assert rep.iterations == 1
+
+
+def test_every_restart_reports_its_sweeps_and_convergence():
+    tight = OptimizerConfig(restarts=5, max_iters=1, tol=1e-15, seed=13)
+    ineq = catalog_cglmp(3)
+    for rep in (quantum_value(ineq, tight), optimize_measurements(ineq, np.eye(9)[0], tight)):
+        assert rep.restart_iterations == (1,) * 5
+        assert rep.restart_converged == (False,) * 5
+
+
+@pytest.mark.parametrize(
+    "run", [quantum_value, stabilizer_value], ids=["quantum", "stabilizer"]
+)
+def test_best_restart_telemetry_matches_the_report(run):
+    rep = run(catalog_cglmp(3), CFG)
+    best = int(np.argmax(rep.restart_values))
+    assert len(rep.restart_iterations) == len(rep.restart_converged) == CFG.restarts
+    assert rep.restart_iterations[best] == rep.iterations
+    assert rep.restart_converged[best] == rep.converged
+    assert all(1 <= it <= CFG.max_iters for it in rep.restart_iterations)
 
 
 def test_config_validation():
