@@ -8,7 +8,6 @@ without trusting the devices, up to local unitaries.
 """
 
 from magicwit.algebra import (
-    TOL_MAT,
     clock_matrix,
     is_prime,
     is_unitary,
@@ -46,7 +45,6 @@ from magicwit.optimize import (
 )
 from magicwit.states import (
     GraphState,
-    StabilizerGenerators,
     assemble_cluster_state,
     build_graph_state,
     build_graph_state_by_gates,

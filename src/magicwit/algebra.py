@@ -12,9 +12,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-# Max-abs entrywise tolerance for the unitarity predicate.
-TOL_MAT = 1e-10
-
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test; inputs here are tiny."""
@@ -59,9 +56,10 @@ def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def is_unitary(m: np.ndarray, tol: float = TOL_MAT) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
+    """Square, with every entry of M^dagger M - I at most 1e-8 in magnitude."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-8)
 

@@ -120,7 +120,7 @@ def behavior_from_state(state, measurements) -> Behavior:
                 raise ValueError(
                     f"measurement for party {i} setting {x} has shape {v.shape}, not {per[0].shape}"
                 )
-            if not is_unitary(v, 1e-8):
+            if not is_unitary(v):
                 raise ValueError(f"measurement for party {i} setting {x} is not projective")
         bases.append(np.stack(per))
     outcomes = tuple(b.shape[1] for b in bases)

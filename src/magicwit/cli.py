@@ -45,19 +45,12 @@ def _default_seed() -> int:
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=64, help="see-saw restarts (default 64)")
-    p.add_argument("--max-iters", type=int, default=500, help="sweep limit per restart")
-    p.add_argument("--tol", type=float, default=1e-9, help="objective-change stopping tolerance")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default MAGICWIT_SEED or 0)")
 
 
 def _config(args) -> optimize.OptimizerConfig:
     seed = args.seed if args.seed is not None else _default_seed()
-    return optimize.OptimizerConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=seed,
-    )
+    return optimize.OptimizerConfig(restarts=args.restarts, seed=seed)
 
 
 def _emit_manifest(command: str, extra: dict, wall: float) -> None:
@@ -71,7 +64,7 @@ def _emit_manifest(command: str, extra: dict, wall: float) -> None:
 
 
 def _cfg_echo(cfg: optimize.OptimizerConfig) -> dict:
-    return {"seed": cfg.seed, "restarts": cfg.restarts, "tol": cfg.tol}
+    return {"seed": cfg.seed, "restarts": cfg.restarts, "tol": optimize.STOP_TOL}
 
 
 def _require_grid(points: float) -> None:
@@ -97,6 +90,9 @@ def load_inequality_file(path: str) -> bell.BellInequality:
     for field in ("parties", "outcomes", "settings", "coefficients"):
         if field not in data:
             raise ValueError(f"{path}: missing field {field!r}")
+    name = data.get("name", path)
+    if not isinstance(name, str):
+        raise ValueError(f"{path}: field 'name' must be a string")
     parties = data["parties"]
     if not _is_int(parties) or parties < 1:
         raise ValueError(f"{path}: field 'parties' must be a positive integer")
@@ -145,24 +141,7 @@ def load_inequality_file(path: str) -> bell.BellInequality:
             coeffs[a + x] = float(value)
         except OverflowError as exc:
             raise ValueError(f"{where}: 'value' is out of range") from exc
-    return bell.BellInequality(outcomes, settings, coeffs, name=data.get("name", path))
-
-
-def inequality_to_json(ineq: bell.BellInequality) -> dict:
-    """Sparse JSON form of an inequality (inverse of load_inequality_file)."""
-    records = []
-    n = ineq.parties
-    for index in np.ndindex(*ineq.coeffs.shape):
-        value = float(ineq.coeffs[index])
-        if value != 0.0:
-            records.append({"a": list(index[:n]), "x": list(index[n:]), "value": value})
-    return {
-        "name": ineq.name,
-        "parties": n,
-        "outcomes": list(ineq.outcomes),
-        "settings": list(ineq.settings),
-        "coefficients": records,
-    }
+    return bell.BellInequality(outcomes, settings, coeffs, name=name)
 
 
 def _resolve_inequality(args) -> bell.BellInequality:

@@ -46,23 +46,23 @@ import numpy as np
 from magicwit import bell, graphs, states
 from magicwit.errors import ResourceLimitError, require
 
+
+# Sweeps per restart, at most.
+MAX_SWEEPS = 500
+# A restart stops once a sweep raises its value by less than this.
+STOP_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-restart see-saw.
-
-    `tol` is the absolute objective change below which a restart stops.
-    """
+    """How many see-saw restarts to run, and the seed they are spawned from."""
 
     restarts: int = 64
-    max_iters: int = 500
-    tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -80,8 +80,11 @@ class OptimizationReport:
     `restart_values`, `restart_iterations` and `restart_converged` hold each
     restart's final value, sweep count and convergence flag, in seed order.
     `iterations` and `converged` repeat the best restart's entries; a restart
-    that ran to `max_iters` without converging shows in the tuples even when
-    it is not the best.
+    that ran to `MAX_SWEEPS` without converging shows in the tuples even when
+    it is not the best.  In a stabilizer report all of these, and `trace`,
+    belong to the winning class only: the restarts of the other classes,
+    unconverged ones included, do not show.  The planned `--report` run
+    report (ROADMAP item 4) is to carry every class.
 
     `class_values` (stabilizer reports only) holds the best value found per
     graph-state class at the configured restarts.  Each entry is a lower
@@ -231,13 +234,13 @@ def _top_eigvec(op: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.take_along_axis(vecs, best[:, None, None], axis=2)[..., 0])
 
 
-def _restarts(coeffs, outcomes, settings, psi, max_iters, tol, seeds):
+def _restarts(coeffs, outcomes, settings, psi, seeds):
     """One see-saw per seed, each restart a row of one batch.
 
     A restart draws its start from its own seed: a free state (`psi` None)
     first, then the bases party by party.  Each iteration sweeps the rows
     still running, then takes the state step if the state is free; a row
-    stops once a sweep gains less than `tol`.
+    stops once a sweep gains less than `STOP_TOL`, or after `MAX_SWEEPS`.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     free_state = psi is None
@@ -254,7 +257,7 @@ def _restarts(coeffs, outcomes, settings, psi, max_iters, tol, seeds):
     traces = [[v] for v in value.tolist()]
     iters = np.zeros(len(rngs), dtype=int)
     converged = np.zeros(len(rngs), dtype=bool)
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         rows = np.flatnonzero(~converged)
         sub = [b[rows] for b in bases]
         sub_t = psi_t[rows] if free_state else psi_t
@@ -280,7 +283,7 @@ def _restarts(coeffs, outcomes, settings, psi, max_iters, tol, seeds):
             traces[r].extend(steps)
         value[rows] = trace[-1]
         iters[rows] = it
-        converged[rows] = trace[-1] - trace[0] < tol
+        converged[rows] = trace[-1] - trace[0] < STOP_TOL
         if converged.all():
             break
     if not free_state:
@@ -306,7 +309,7 @@ def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
     seeds = root.spawn(cfg.restarts)
     size = max(1, SEESAW_BUDGET // entries)
     runs = [
-        _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, cfg.max_iters, cfg.tol, batch)
+        _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, batch)
         for batch in (seeds[lo : lo + size] for lo in range(0, cfg.restarts, size))
     ]
     values, iters, converged = (np.concatenate([run[i] for run in runs]) for i in (0, 3, 4))

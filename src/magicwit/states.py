@@ -91,19 +91,8 @@ def build_graph_state_by_gates(a: AdjacencyMatrix) -> GraphState:
     return GraphState(dims=(d,) * n, amplitudes=psi.ravel(), source=a)
 
 
-@dataclass(frozen=True)
-class StabilizerGenerators:
-    """One generator per vertex, stored as per-site matrix factors."""
-
-    dims: tuple[int, ...]
-    factors: tuple[tuple[np.ndarray, ...], ...]
-
-    def matrices(self) -> list[np.ndarray]:
-        return [kron(list(f)) for f in self.factors]
-
-
-def stabilizer_generators(a: AdjacencyMatrix) -> StabilizerGenerators:
-    """Generators fixing the graph state: a shift at vertex i, clocks on its edges.
+def stabilizer_generators(a: AdjacencyMatrix) -> list[np.ndarray]:
+    """Dense generators fixing the graph state: a shift at vertex i, clocks on its edges.
 
     With the conventions X|j> = |j+1>, Z|j> = omega^j |j> and
     CP = sum_j |j><j| (x) Z^j used throughout, generator i is
@@ -122,27 +111,18 @@ def stabilizer_generators(a: AdjacencyMatrix) -> StabilizerGenerators:
             else:
                 w = int(a.entries[i, j])
                 row.append(np.linalg.matrix_power(z, w) if w else eye)
-        gens.append(tuple(row))
-    return StabilizerGenerators(dims=(d,) * n, factors=tuple(gens))
+        gens.append(kron(row))
+    return gens
 
 
-def reduced_purity(state, keep: Sequence[int], dims: Sequence[int] | None = None) -> float:
-    """tr(rho^2) of the reduced state on the `keep` sites.
-
-    `dims` is taken from the state when it is a GraphState and must be given
-    explicitly for a bare vector.
-    """
-    if dims is None:
-        dims = getattr(state, "dims", None)
-        if dims is None:
-            raise ValueError("register dims required for a bare state vector")
-    dims = tuple(int(x) for x in dims)
-    psi = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
+def reduced_purity(state: GraphState, keep: Sequence[int]) -> float:
+    """tr(rho^2) of the reduced state on the `keep` sites."""
+    dims = state.dims
     n = len(dims)
     keep = tuple(sorted(set(int(k) for k in keep)))
     if not keep or len(keep) == n or any(k < 0 or k >= n for k in keep):
         raise ValueError("keep must be a non-empty strict subset of sites")
-    t = psi.reshape(dims)
+    t = state.amplitudes.reshape(dims)
     drop = [i for i in range(n) if i not in keep]
     rho = np.tensordot(t, t.conj(), axes=(drop, drop))
     k = int(np.prod([dims[i] for i in keep]))

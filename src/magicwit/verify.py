@@ -233,7 +233,7 @@ def check_stabilizer_fixed_points() -> str:
     count = 0
     for rep in _representative_states():
         gs = states.build_graph_state(rep)
-        for g in states.stabilizer_generators(rep).matrices():
+        for g in states.stabilizer_generators(rep):
             err = np.linalg.norm(g @ gs.amplitudes - gs.amplitudes)
             require(err <= 1e-9, f"{rep!r}: generator moves the state by {err}")
         count += 1

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from magicwit.algebra import TOL_MAT, clock_matrix, is_prime, is_unitary, kron, shift_matrix
+from magicwit.algebra import clock_matrix, is_prime, is_unitary, kron, shift_matrix
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+# Max-abs entrywise tolerance for the exact identities of the Weyl algebra.
+TOL_MAT = 1e-10
 
 
 def omega(d):
@@ -47,6 +49,13 @@ def test_shift_clock_algebra(d):
     # With X raising and Z = diag(omega^j) the Weyl relation reads
     # Z X = omega X Z (equivalently X Z = omega^(-1) Z X).
     assert np.max(np.abs(z @ x - omega(d) * x @ z)) <= TOL_MAT
+
+
+def test_is_unitary_tolerance_is_1e_8():
+    eye = np.eye(3)
+    assert is_unitary(eye + np.diag([4e-9, 0, 0]))
+    assert not is_unitary(eye + np.diag([2e-8, 0, 0]))
+    assert not is_unitary(np.ones((2, 3)))
 
 
 def weyl(d, a1, a2):

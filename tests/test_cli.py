@@ -11,10 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicwit.bell import catalog_tilted_chsh, local_bound
-from magicwit.cli import inequality_to_json, load_inequality_file, main
+from magicwit.bell import BellInequality, catalog_tilted_chsh, local_bound
+from magicwit.cli import load_inequality_file, main
 
 FAST = ["--restarts", "8", "--seed", "3"]
+
+
+def inequality_to_json(ineq: BellInequality) -> dict:
+    """Sparse JSON form of an inequality, the format `load_inequality_file` reads."""
+    records = []
+    n = ineq.parties
+    for index in np.ndindex(*ineq.coeffs.shape):
+        value = float(ineq.coeffs[index])
+        if value != 0.0:
+            records.append({"a": list(index[:n]), "x": list(index[n:]), "value": value})
+    return {
+        "name": ineq.name,
+        "parties": n,
+        "outcomes": list(ineq.outcomes),
+        "settings": list(ineq.settings),
+        "coefficients": records,
+    }
 
 
 def run_cli(args, env=None):
@@ -122,6 +139,40 @@ def test_jobs_flag_is_gone():
     assert out.returncode == 2
     assert out.stdout == ""
     assert "--jobs" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["bounds", "cglmp", "--tol", "1e-6"], "--tol"),
+        (["scan", "tilted-chsh", "--max-iters", "3"], "--max-iters"),
+        (["heatmap", "--max-iters", "3"], "--max-iters"),
+    ],
+)
+def test_stopping_rule_flags_are_gone(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *FAST])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "tilted-chsh", "--step", "1", *FAST],
+        ["heatmap", "--theta-steps", "2", "--phi-steps", "2", *FAST],
+    ],
+)
+def test_grid_manifests_echo_the_stopping_tolerance(capsys, argv):
+    # The goldens pin stdout only; the stderr manifest must still carry the
+    # tolerance that `bounds` echoes in its payload.
+    assert main(argv) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    manifest = json.loads(line.removeprefix("manifest: "))
+    assert manifest["tol"] == 1e-09
+    assert (manifest["restarts"], manifest["seed"]) == (8, 3)
 
 
 def test_scan_range_validation():
@@ -317,6 +368,8 @@ def test_bounds_from_spec_file(tmp_path):
         (lambda d: d.update(coefficients=[5]), "must be a list of objects"),
         (lambda d: d.update(coefficients={}), "must be a list of objects"),
         (lambda d: d["coefficients"][0].update(value=None), "must be a number"),
+        (lambda d: d.update(name=None), "'name' must be a string"),
+        (lambda d: d.update(name={"x": 1}), "'name' must be a string"),
     ],
 )
 def test_spec_file_diagnostics(tmp_path, mangle, message):
@@ -373,7 +426,13 @@ def _spec_documents(draw):
     records = draw(
         st.lists(record, max_size=8, unique_by=lambda r: (tuple(r["a"]), tuple(r["x"])))
     )
-    doc = {"parties": n, "outcomes": outcomes, "settings": counts, "coefficients": records}
+    doc = {
+        "name": "fuzz",
+        "parties": n,
+        "outcomes": outcomes,
+        "settings": counts,
+        "coefficients": records,
+    }
     for _ in range(draw(st.integers(0, 2))):
         target = draw(st.sampled_from(records)) if records and draw(st.booleans()) else doc
         if not target:

@@ -83,19 +83,17 @@ def test_construction_paths_agree_on_random_graphs():
 
 
 def test_generators_edgeless_two_qubits():
-    gens = stabilizer_generators(adj(2, 2, []))
+    mats = stabilizer_generators(adj(2, 2, []))
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     eye = np.eye(2)
-    mats = gens.matrices()
     assert np.allclose(mats[0], kron([x, eye]))
     assert np.allclose(mats[1], kron([eye, x]))
 
 
 def test_generators_single_edge_two_qubits():
-    gens = stabilizer_generators(adj(2, 2, [(0, 1, 1)]))
+    mats = stabilizer_generators(adj(2, 2, [(0, 1, 1)]))
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
-    mats = gens.matrices()
     assert np.allclose(mats[0], kron([x, z]))
     assert np.allclose(mats[1], kron([z, x]))
 
@@ -104,7 +102,7 @@ def test_generators_commute_random_qutrit_graphs():
     rng = np.random.default_rng(8)
     for _ in range(5):
         g = random_adjacency(rng, 3, 3)
-        mats = stabilizer_generators(g).matrices()
+        mats = stabilizer_generators(g)
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 comm = mats[i] @ mats[j] - mats[j] @ mats[i]
@@ -116,12 +114,13 @@ def test_generators_fix_graph_states(n, d):
     for rep in enumerate_classes(n, d).representatives:
         gs = build_graph_state(rep)
         gens = stabilizer_generators(rep)
-        for g in gens.matrices():
+        assert len(gens) == n
+        for g in gens:
+            assert g.shape == (d**n, d**n)
             assert np.linalg.norm(g @ gs.amplitudes - gs.amplitudes) <= 1e-9
-        for f in gens.factors:
-            for site, mat in enumerate(f):
-                order = np.linalg.matrix_power(mat, d)
-                assert np.max(np.abs(order - np.eye(d))) <= 1e-9
+            # Every generator is a Pauli product of order d.
+            order = np.linalg.matrix_power(g, d)
+            assert np.max(np.abs(order - np.eye(d**n))) <= 1e-9
 
 
 def test_tensor_split_of_direct_sums():
@@ -138,25 +137,26 @@ def test_tensor_split_of_direct_sums():
         assert np.max(np.abs(joined - split)) <= 1e-12
 
 
+BELL_PAIR = GraphState(dims=(2, 2), amplitudes=np.array([1, 0, 0, 1]) / np.sqrt(2))
+
+
 def test_reduced_purity_bell_pair():
-    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert reduced_purity(bell, [0], dims=(2, 2)) == pytest.approx(0.5)
+    assert reduced_purity(BELL_PAIR, [0]) == pytest.approx(0.5)
 
 
 def test_reduced_purity_product_state():
-    psi = np.kron(np.array([1.0, 0.0]), plus_state(2))
+    psi = GraphState(dims=(2, 2), amplitudes=np.kron(np.array([1.0, 0.0]), plus_state(2)))
     for site in (0, 1):
-        assert reduced_purity(psi, [site], dims=(2, 2)) == pytest.approx(1.0)
+        assert reduced_purity(psi, [site]) == pytest.approx(1.0)
 
 
 def test_reduced_purity_guards():
-    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
     with pytest.raises(ValueError):
-        reduced_purity(bell, [], dims=(2, 2))
+        reduced_purity(BELL_PAIR, [])
     with pytest.raises(ValueError):
-        reduced_purity(bell, [0, 1], dims=(2, 2))
+        reduced_purity(BELL_PAIR, [0, 1])
     with pytest.raises(ValueError):
-        reduced_purity(bell, [0])
+        reduced_purity(BELL_PAIR, [2])
 
 
 def test_cluster_states_have_unit_purity_across_dimension_split():
