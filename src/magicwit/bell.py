@@ -147,6 +147,11 @@ def local_bound(ineq: BellInequality) -> float:
     count, times the settings of any one-outcome party.  So the strategy
     budget also bounds the memory.
     """
+    return _local_optimum(ineq)[0]
+
+
+def _local_optimum(ineq: BellInequality) -> tuple[float, list[np.ndarray]]:
+    """`local_bound` and a strategy attaining it: plan[i][x] is party i's outcome in setting x."""
     counts = [d**m for d, m in zip(ineq.outcomes, ineq.settings)]
     total = math.prod(counts)
     if total > DEFAULT_STRATEGY_BUDGET:
@@ -158,15 +163,22 @@ def local_bound(ineq: BellInequality) -> float:
     # Axes: (a_j, x_j) for each other party j in order, then (a_k, x_k).
     order = [ax for j in range(n) if j != k for ax in (j, n + j)] + [k, n + k]
     t = np.transpose(ineq.coeffs, order)[None]
+    plans = {}
     for j in range(n):
         if j == k:
             continue
         d, m = ineq.outcomes[j], ineq.settings[j]
-        plans = np.indices((d,) * m).reshape(m, -1)
+        plans[j] = np.indices((d,) * m).reshape(m, -1)
         # t: (strategies so far, a_j, x_j, rest) -> (strategies so far, s_j, rest)
-        t = sum(t[:, plans[x], x] for x in range(m))
+        t = sum(t[:, plans[j][x], x] for x in range(m))
         t = t.reshape((-1,) + t.shape[2:])
-    return float(t.max(axis=1).sum(axis=1).max())
+    scores = t.max(axis=1).sum(axis=1)
+    best = int(np.argmax(scores))
+    # The folded strategy index runs row-major over the other parties' s_j.
+    picks = np.unravel_index(best, [counts[j] for j in plans])
+    plan = {j: plans[j][:, s] for j, s in zip(plans, picks)}
+    plan[k] = np.argmax(t[best], axis=0)
+    return float(scores[best]), [plan[i] for i in range(n)]
 
 
 def catalog_tilted_chsh(alpha: float) -> BellInequality:

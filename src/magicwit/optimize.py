@@ -11,7 +11,12 @@ linear subproblem:
   offset), aligning the basis with the singular vectors of the stacked
   gradient [B_a v_a] never decreases the objective; a search over cyclic
   relabelings of which root-of-unity eigenvalue sits on which column
-  follows.
+  follows;
+* a fixed product state, at every d: each B_a is g_a |phi><phi| for the
+  party's factor phi, so the exact maximizer puts phi in the column of the
+  largest g_a (`_product_step`).  Best response alone can stall below the
+  local bound, so restart 0 starts at the best deterministic strategy
+  (`bell._local_optimum`), which is a product state's maximum.
 
 The unrestricted quantum value alternates measurement sweeps with an exact
 state update (top eigenvector of the Bell operator).  Every step is
@@ -32,7 +37,8 @@ restart.
 
 Every see-saw array has a leading restart axis, one row per restart (a batch
 of 1 for a state they share).  Each row draws its start from its own spawned
-seed and reads no other row, so results do not depend on the batching.
+seed (restart 0 of a product state: the planned strategy, always in the first
+batch) and reads no other row, so results do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -87,9 +93,12 @@ class OptimizationReport:
     report (ROADMAP item 4) is to carry every class.
 
     `class_values` (stabilizer reports only) holds the best value found per
-    graph-state class at the configured restarts.  Each entry is a lower
-    bound on that class's maximum, not the maximum itself: a class whose
-    optimum only a few restarts reach can report less at another seed.
+    graph-state class at the configured restarts.  The product class's entry
+    is its exact maximum, the local bound (to rounding), when the
+    deterministic strategies fit `bell.DEFAULT_STRATEGY_BUDGET`.  Every other
+    entry is a lower bound on that class's maximum, not the maximum itself: a
+    class whose optimum only a few restarts reach can report less at another
+    seed.
     """
 
     value: float
@@ -187,6 +196,49 @@ def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vnew, cols[best][:, None, :], axis=2)
 
 
+def _product_factors(psi_t: np.ndarray) -> list[np.ndarray] | None:
+    """Each party's factor of a product state psi_t (1, d_1..d_n); None if any party is entangled.
+
+    Party i factors off exactly when its reduced state rho = M M^dagger, M
+    being psi with that party's index in front, has purity tr rho^2 = 1
+    (within 1e-12).  Every column of M is then the factor times a scalar, so
+    the largest one, normalized, is the factor.
+    """
+    factors = []
+    for i, d in enumerate(psi_t.shape[1:]):
+        m = np.moveaxis(psi_t[0], i, 0).reshape(d, -1)
+        rho = m @ m.conj().T
+        if abs(np.sum(np.abs(rho) ** 2) - 1.0) > 1e-12:
+            return None
+        col = m[:, np.argmax(np.sum(np.abs(m) ** 2, axis=0))]
+        factors.append(col / np.linalg.norm(col))
+    return factors
+
+
+def _reflect(v: np.ndarray, phi: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Householder reflections of the bases v (R, d, d) taking column k[R] to phi, up to a phase.
+
+    Each column c goes to -e^(i arg <phi|c>) phi, so the reflection vector
+    u = c + e^(i arg <phi|c>) phi has |u|^2 = 2 + 2 |<phi|c>| >= 2 and no
+    cancellation.  The other columns stay orthonormal to it.
+    """
+    c = np.take_along_axis(v, k[:, None, None], axis=2)[..., 0]
+    u = c + np.exp(1j * np.angle(np.einsum("Rp,p->R", c, phi.conj())))[:, None] * phi
+    scale = 2.0 / np.einsum("Rp,Rp->R", u.conj(), u).real
+    return v - (scale[:, None] * u)[:, :, None] * np.einsum("Rp,Rpa->Ra", u.conj(), v)[:, None, :]
+
+
+def _product_step(bh: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Exact step of a party whose factor of a product state is phi.
+
+    Every outcome operator is then B[R, a] = g[R, a] |phi><phi| with
+    g = tr B, so the value sum_a g_a |<phi|v_a>|^2 is at most max_a g_a, and
+    it reaches that with phi in the column of the largest g_a (the first on
+    ties).
+    """
+    return _reflect(v, phi, np.argmax(np.einsum("Rapp->Ra", bh).real, axis=1))
+
+
 def _ascend(trace: list, val, step: str) -> None:
     """Append see-saw values, one per running restart, after checking that `step` lowered none."""
     last = trace[-1]
@@ -234,13 +286,18 @@ def _top_eigvec(op: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.take_along_axis(vecs, best[:, None, None], axis=2)[..., 0])
 
 
-def _restarts(coeffs, outcomes, settings, psi, seeds):
+def _restarts(coeffs, outcomes, settings, psi, seeds, first=False):
     """One see-saw per seed, each restart a row of one batch.
 
     A restart draws its start from its own seed: a free state (`psi` None)
     first, then the bases party by party.  Each iteration sweeps the rows
     still running, then takes the state step if the state is free; a row
     stops once a sweep gains less than `STOP_TOL`, or after `MAX_SWEEPS`.
+
+    A fixed product state takes `_product_step` in place of `_basis_update`.
+    When `first` (seeds[0] is restart 0 of the call), that row starts at the
+    best deterministic strategy instead, its factors in the planned columns,
+    unless the strategies exceed `bell.DEFAULT_STRATEGY_BUDGET`.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     free_state = psi is None
@@ -253,6 +310,14 @@ def _restarts(coeffs, outcomes, settings, psi, seeds):
         np.stack([[_random_basis(rng, d) for _ in range(m)] for rng in rngs])
         for d, m in zip(outcomes, settings)
     ]
+    factors = None if free_state else _product_factors(psi_t)
+    if factors is not None and first:
+        try:
+            plan = bell._local_optimum(bell.BellInequality(outcomes, settings, coeffs))[1]
+        except ResourceLimitError:
+            plan = []  # restart 0 keeps its random start
+        for b, phi, outs in zip(bases, factors, plan):
+            b[0] = _reflect(b[0], phi, outs)
     value = _objective(psi_t, bases, coeffs)
     traces = [[v] for v in value.tolist()]
     iters = np.zeros(len(rngs), dtype=int)
@@ -268,7 +333,10 @@ def _restarts(coeffs, outcomes, settings, psi, seeds):
                 env = _environments(c, coeffs, i, s)
                 env = 0.5 * (env + np.conj(env.swapaxes(-1, -2)))
                 old = _active_value(env, sub[i][:, s])
-                sub[i][:, s] = _basis_update(env, sub[i][:, s])
+                if factors is None:
+                    sub[i][:, s] = _basis_update(env, sub[i][:, s])
+                else:
+                    sub[i][:, s] = _product_step(env, sub[i][:, s], factors[i])
                 _ascend(trace, trace[-1] + (_active_value(env, sub[i][:, s]) - old), "step")
         if free_state:
             op = _bell_operator(sub, coeffs)
@@ -309,8 +377,8 @@ def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
     seeds = root.spawn(cfg.restarts)
     size = max(1, SEESAW_BUDGET // entries)
     runs = [
-        _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, batch)
-        for batch in (seeds[lo : lo + size] for lo in range(0, cfg.restarts, size))
+        _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, seeds[lo : lo + size], lo == 0)
+        for lo in range(0, cfg.restarts, size)
     ]
     values, iters, converged = (np.concatenate([run[i] for run in runs]) for i in (0, 3, 4))
     best = int(np.argmax(values))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from magicwit.bell import (
     Behavior,
     BellInequality,
+    _local_optimum,
     behavior_from_state,
     catalog_cglmp,
     catalog_svetlichny_r2,
@@ -284,3 +285,18 @@ def test_local_bound_dominates_every_deterministic_point(seed):
                 for x1, x2 in itertools.product(range(2), repeat=2)
             )
             assert val <= bound + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(ineq=_small_inequalities())
+def test_local_optimum_plan_attains_the_bound(ineq):
+    # plan[i][x] is party i's outcome in setting x; its Bell value is the bound.
+    value, plan = _local_optimum(ineq)
+    assert value == local_bound(ineq)
+    assert [len(p) for p in plan] == list(ineq.settings)
+    planned = sum(
+        ineq.coeffs[tuple(int(p[x]) for p, x in zip(plan, xs)) + xs]
+        for xs in itertools.product(*(range(m) for m in ineq.settings))
+    )
+    assert abs(planned - value) <= 1e-12
+    assert abs(planned - _local_bound_by_strategy_loop(ineq)) <= 1e-12

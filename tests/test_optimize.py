@@ -337,6 +337,94 @@ def test_basis_update_is_unitary_monotone_and_best_relabeled(d, seed):
             assert _score(bh, new) >= _score(bh, svd_basis[:, (np.arange(d) + t) % d]) - 1e-9
 
 
+def _haar_vector(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def _product_state(rng, dims):
+    return functools.reduce(np.kron, [_haar_vector(rng, d) for d in dims])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (5, 3), (3, 3, 3)])
+def test_product_factors_of_random_product_states(dims):
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(5):
+        psi = _product_state(rng, dims)
+        factors = optimize._product_factors(psi.reshape(1, *dims))
+        assert [len(f) for f in factors] == list(dims)
+        # Unit factors that rebuild psi up to a global phase.
+        assert all(abs(np.linalg.norm(f) - 1.0) <= 1e-12 for f in factors)
+        assert abs(abs(np.vdot(functools.reduce(np.kron, factors), psi)) - 1.0) <= 1e-12
+
+
+def test_product_factors_reject_entangled_states():
+    ghz = np.zeros(27, dtype=complex)
+    ghz[[0, 13, 26]] = 1 / np.sqrt(3)  # (|000> + |111> + |222>) / sqrt(3)
+    maximally_entangled = np.eye(3).reshape(-1) / np.sqrt(3)
+    product = _product_state(np.random.default_rng(4), (3, 3))
+    nearly = np.sqrt(1 - 1e-6) * product + np.sqrt(1e-6) * maximally_entangled
+    nearly /= np.linalg.norm(nearly)
+    for psi, dims in ((ghz, (3, 3, 3)), (maximally_entangled, (3, 3)), (nearly, (3, 3))):
+        assert optimize._product_factors(psi.reshape(1, *dims)) is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+def test_product_step_is_exact_on_rank_one_environments(d, seed):
+    # A product state's environments are B_a = g_a |phi><phi|: the step puts
+    # phi in the column of the largest g_a and reaches max_a g_a, which no
+    # basis beats.
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-1.0, 1.0, (ROWS, d))
+    phi = _haar_vector(rng, d)
+    bhs = g[:, :, None, None] * np.outer(phi, phi.conj())
+    vs = np.stack([_haar_unitary(rng, d) for _ in range(ROWS)])
+    news = optimize._product_step(bhs, vs, phi)
+    values = optimize._active_value(bhs, news)
+    general = optimize._active_value(bhs, optimize._basis_update(bhs, vs))
+    for gr, new, value, other in zip(g, news, values, general):
+        assert np.max(np.abs(new.conj().T @ new - np.eye(d))) <= 1e-12
+        assert abs(abs(np.vdot(phi, new[:, np.argmax(gr)])) - 1.0) <= 1e-12
+        assert abs(value - gr.max()) <= 1e-12
+        assert value >= other - 1e-12
+
+
+PRODUCT_SHAPES = [((2, 2), (3, 2)), ((3, 3), (2, 2)), ((2, 3), (2, 3)), ((2, 2, 2), (2, 2, 2))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(PRODUCT_SHAPES), seed=st.integers(0, 2**32 - 1))
+def test_one_restart_on_a_product_state_is_the_local_bound(shape, seed):
+    # Restart 0 starts at the best deterministic strategy.
+    outcomes, counts = shape
+    rng = np.random.default_rng(seed)
+    ineq = BellInequality(outcomes, counts, rng.uniform(-1.0, 1.0, outcomes + counts))
+    psi = _product_state(rng, outcomes)
+    rep = optimize_measurements(ineq, psi, OptimizerConfig(restarts=1, seed=seed))
+    assert abs(rep.value - local_bound(ineq)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_cglmp_product_class_is_the_local_bound(d):
+    ineq = catalog_cglmp(d)
+    edgeless = build_graph_state(AdjacencyMatrix(d, np.zeros((2, 2), dtype=int)))
+    for seed in range(10):
+        rep = optimize_measurements(ineq, edgeless, OptimizerConfig(restarts=8, seed=seed))
+        assert abs(rep.value - 2.0) <= 1e-12
+        assert rep.restart_converged[0] and rep.restart_iterations[0] == 1
+
+
+def test_product_state_past_the_strategy_budget(monkeypatch):
+    # Past the budget restart 0 starts at random like the others; nothing raises.
+    ineq = catalog_cglmp(3)
+    loc = local_bound(ineq)
+    monkeypatch.setattr("magicwit.bell.DEFAULT_STRATEGY_BUDGET", 80)  # cglmp(3) has 81
+    rep = optimize_measurements(ineq, np.eye(9)[0], OptimizerConfig(restarts=4, seed=1))
+    assert rep.value <= loc + 1e-12
+    assert rep.restart_iterations[0] > 1
+
+
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -478,9 +566,16 @@ def test_non_convergence_is_flagged_but_returns_value(one_sweep):
 def test_every_restart_reports_its_sweeps_and_convergence(one_sweep):
     tight = OptimizerConfig(restarts=5, seed=13)
     ineq = catalog_cglmp(3)
-    for rep in (quantum_value(ineq, tight), optimize_measurements(ineq, np.eye(9)[0], tight)):
+    entangled = np.eye(3).reshape(-1) / np.sqrt(3)
+    for rep in (quantum_value(ineq, tight), optimize_measurements(ineq, entangled, tight)):
         assert rep.restart_iterations == (1,) * 5
         assert rep.restart_converged == (False,) * 5
+    # A product state's restart 0 starts at the best deterministic strategy,
+    # so its only sweep gains nothing.
+    rep = optimize_measurements(ineq, np.eye(9)[0], tight)
+    assert rep.restart_iterations == (1,) * 5
+    assert rep.restart_converged[0]
+    assert abs(rep.restart_values[0] - local_bound(ineq)) <= 1e-12
 
 
 @pytest.mark.parametrize(
