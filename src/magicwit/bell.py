@@ -1,9 +1,9 @@
 """Bell inequalities as coefficient tensors over outcomes and settings.
 
 The probability-form tensor I[a_1..a_n, x_1..x_n] is the one representation:
-an inequality's value on a behavior p(a|x) is sum_{a,x} I[a,x] p(a|x).  A
-catalog entry written as a correlator expansion (CGLMP) is transformed to
-it when built.
+an inequality's value on a behavior p(a|x) is sum_{a,x} I[a,x] p(a|x).  Every
+catalog entry is built in that form from its definition; none is
+transformed from another representation.
 """
 
 from __future__ import annotations
@@ -203,39 +203,25 @@ def catalog_tilted_chsh(alpha: float) -> BellInequality:
 def catalog_cglmp(d: int) -> BellInequality:
     """Two-setting d-outcome CGLMP inequality, probability form.
 
-    Built from the correlator expansion
-        sum_x sum_{l=1}^{d-1}  c_l <A_x^l B_x^(d-l)>
-                             + conj(c_l) omega^(x l) <A_x^l B_(x+1 mod 2)^(d-l)>
-    with c_l = sum_k alpha_k (omega^(-k l) - omega^((k+1) l)) and the CGLMP
-    weights alpha_k = beta_k = 1 - 2k/(d - 1), k < floor(d/2).  Dividing the
-    expansion by d lands in the standard normalization, anchored on the
-    d = 3 values: deterministic local bound 2, quantum maximum 2.9149.
-    The cross-term phase convention (no twist on the first setting, one
-    omega^l twist on the second) is the one that reproduces those numbers;
-    other readings of the setting cycling give a no-gap inequality.
+    The standard sum of Collins, Gisin, Linden, Massar and Popescu, PRL 88,
+    040404 (2002), with settings A_0, A_1 and B_0, B_1:
+        sum_{k < floor(d/2)} (1 - 2k/(d - 1)) [P(A_0 = B_0 + k) + P(B_0 = A_1 + k + 1)
+            + P(A_1 = B_1 + k) + P(B_1 = A_0 + k) - P(A_0 = B_0 - k - 1)
+            - P(B_0 = A_1 - k) - P(A_1 = B_1 - k - 1) - P(B_1 = A_0 - k - 1)],
+    outcomes compared mod d.  Its deterministic local bound is 2; at d = 3
+    the quantum maximum is 2.9149.
     """
     require_prime(d)
-    w = np.exp(2j * np.pi / d)
-    cl = {
-        l: sum(
-            (1.0 - 2.0 * k / (d - 1)) * (w ** (-k * l) - w ** ((k + 1) * l))
-            for k in range(d // 2)
-        )
-        for l in range(1, d)
-    }
-    corr = np.zeros((d, d, 2, 2), dtype=complex)
-    for x in (0, 1):
-        for l in range(1, d):
-            corr[l, (d - l) % d, x, x] += cl[l] / d
-            corr[l, (d - l) % d, x, (x + 1) % 2] += np.conj(cl[l]) * w ** (x * l) / d
-    # p-form I[a, b] = sum_{k, l} omega^(a k + b l) It[k, l], one outcome axis at a time.
-    ker = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-    prob = corr
-    for axis in (0, 1):
-        prob = np.moveaxis(np.tensordot(ker, prob, axes=([1], [axis])), 0, axis)
-    if np.max(np.abs(prob.imag)) > 1e-9:
-        raise AssertionError("CGLMP expansion should produce a real tensor")
-    return BellInequality((d, d), (2, 2), prob.real, name=f"cglmp(d={d})")
+    diff = np.subtract.outer(np.arange(d), np.arange(d)) % d
+    c = np.zeros((d, d, 2, 2))
+    for k in range(d // 2):
+        w = 1.0 - 2.0 * k / (d - 1)
+        # P(A_x = B_y + s) weighs the entries with a - b = s; P(B_y = A_x + s) is P(A_x = B_y - s).
+        for x, y, s in ((0, 0, k), (1, 0, -k - 1), (1, 1, k), (0, 1, -k)):
+            c[:, :, x, y] += w * (diff == s % d)
+        for x, y, s in ((0, 0, -k - 1), (1, 0, k), (1, 1, -k - 1), (0, 1, k + 1)):
+            c[:, :, x, y] -= w * (diff == s % d)
+    return BellInequality((d, d), (2, 2), c, name=f"cglmp(d={d})")
 
 
 def catalog_svetlichny_r2() -> BellInequality:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -33,24 +32,13 @@ MAX_GRID_POINTS = 10**5
 MAX_COEFFICIENTS = 1 << 24
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("MAGICWIT_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"MAGICWIT_SEED must be an integer, got {raw!r}") from exc
-
-
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=64, help="see-saw restarts (default 64)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default MAGICWIT_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
 def _config(args) -> optimize.OptimizerConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
-    return optimize.OptimizerConfig(restarts=args.restarts, seed=seed)
+    return optimize.OptimizerConfig(restarts=args.restarts, seed=args.seed)
 
 
 def _emit_manifest(command: str, extra: dict, wall: float) -> None:

@@ -55,7 +55,7 @@ from magicwit.errors import ResourceLimitError, require
 
 # Sweeps per restart, at most.
 MAX_SWEEPS = 500
-# A restart stops once a sweep raises its value by less than this.
+# A restart stops once a sweep raises its value by less than this, in `_unit`s.
 STOP_TOL = 1e-9
 
 
@@ -239,16 +239,25 @@ def _product_step(bh: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return _reflect(v, phi, np.argmax(np.einsum("Rapp->Ra", bh).real, axis=1))
 
 
-def _ascend(trace: list, val, step: str) -> None:
+def _unit(coeffs: np.ndarray) -> float:
+    """Scale of the see-saw's tolerances: m / min(max(m, 1), 2) for m = max |I|, 1 for I = 0.
+
+    It is 1 for 1 <= m <= 2, as on every catalog entry, and follows c I at any other scale.
+    """
+    m = float(np.max(np.abs(coeffs)))
+    return m / min(max(m, 1.0), 2.0) if m > 0.0 else 1.0
+
+
+def _ascend(trace: list, val, step: str, unit: float) -> None:
     """Append see-saw values, one per running restart, after checking that `step` lowered none."""
     last = trace[-1]
-    require(np.all(val >= last - 1e-9 * (1.0 + np.abs(last))), f"see-saw {step} decreased")
+    require(np.all(val >= last - 1e-9 * (unit + np.abs(last))), f"see-saw {step} decreased")
     trace.append(val)
 
 
-def _require_on_trace(last, val) -> None:
+def _require_on_trace(last, val, unit: float) -> None:
     """Check the environment-valued trace against an independent contraction, row by row."""
-    require(np.all(np.abs(val - last) <= 1e-8), "see-saw trace drifted from the objective")
+    require(np.all(np.abs(val - last) <= 1e-8 * unit), "see-saw trace drifted from the objective")
 
 
 def _active_value(b: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -292,7 +301,7 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, first=False):
     A restart draws its start from its own seed: a free state (`psi` None)
     first, then the bases party by party.  Each iteration sweeps the rows
     still running, then takes the state step if the state is free; a row
-    stops once a sweep gains less than `STOP_TOL`, or after `MAX_SWEEPS`.
+    stops once a sweep gains less than `STOP_TOL` `_unit`s, or after `MAX_SWEEPS`.
 
     A fixed product state takes `_product_step` in place of `_basis_update`.
     When `first` (seeds[0] is restart 0 of the call), that row starts at the
@@ -300,6 +309,7 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, first=False):
     unless the strategies exceed `bell.DEFAULT_STRATEGY_BUDGET`.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
+    unit = _unit(coeffs)
     free_state = psi is None
     if free_state:
         dim = math.prod(outcomes)
@@ -337,26 +347,26 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, first=False):
                     sub[i][:, s] = _basis_update(env, sub[i][:, s])
                 else:
                     sub[i][:, s] = _product_step(env, sub[i][:, s], factors[i])
-                _ascend(trace, trace[-1] + (_active_value(env, sub[i][:, s]) - old), "step")
+                _ascend(trace, trace[-1] + (_active_value(env, sub[i][:, s]) - old), "step", unit)
         if free_state:
             op = _bell_operator(sub, coeffs)
             vec = sub_t.reshape(len(rows), -1)
             # The state step re-anchors the trace, so check the sweep's first.
-            _require_on_trace(trace[-1], np.einsum("Rp,Rpq,Rq->R", vec.conj(), op, vec).real)
+            _require_on_trace(trace[-1], np.einsum("Rp,Rpq,Rq->R", vec.conj(), op, vec).real, unit)
             psi_t[rows] = sub_t = _top_eigvec(op).reshape(sub_t.shape)
-            _ascend(trace, _objective(sub_t, sub, coeffs), "state step")
+            _ascend(trace, _objective(sub_t, sub, coeffs), "state step", unit)
         for b, new in zip(bases, sub):
             b[rows] = new
         for r, steps in zip(rows, np.stack(trace[1:], axis=1).tolist()):
             traces[r].extend(steps)
         value[rows] = trace[-1]
         iters[rows] = it
-        converged[rows] = trace[-1] - trace[0] < STOP_TOL
+        converged[rows] = trace[-1] - trace[0] < STOP_TOL * unit
         if converged.all():
             break
     if not free_state:
         final = _objective(psi_t, bases, coeffs)
-        _require_on_trace(value, final)
+        _require_on_trace(value, final, unit)
         value = final
     # With a free state the last state step valued every row by `_objective`.
     return value, bases, traces, iters, converged, psi_t
@@ -387,7 +397,8 @@ def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
     state = psis[k].reshape(-1) if psi is None else psi
     measurements = tuple(tuple(b[k]) for b in bases)
     reval = bell.evaluate(ineq, bell.behavior_from_state(state, measurements))
-    require(abs(reval - values[best]) <= 1e-8, "re-evaluation drifted from the see-saw value")
+    tol = 1e-8 * _unit(ineq.coeffs)
+    require(abs(reval - values[best]) <= tol, "re-evaluation drifted from the see-saw value")
     return OptimizationReport(
         value=reval,
         measurements=measurements,

@@ -9,7 +9,7 @@ headline number of the pipeline.
 
 from __future__ import annotations
 
-import itertools
+import math
 import subprocess
 import sys
 import time
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from magicwit import bell, graphs, optimize, states
+from magicwit import algebra, bell, graphs, optimize, states
 from magicwit.errors import require
 
 
@@ -78,61 +78,65 @@ def check_orbit_counts() -> str:
     return f"class counts 2/5/18/93/760/2 with totals 2/8/64/1024/32768/3 in {dt:.2f}s"
 
 
-def _count_qubit_stabilizer_groups(n: int) -> int:
-    """Brute-force count of n-qubit stabilizer groups.
+def _distinct(vectors: np.ndarray) -> np.ndarray:
+    """One row per state up to global phase.
 
-    Elements are signed Pauli strings encoded as (p, x, z) for i^p X^x Z^z
-    with p in Z4 and x, z bit masks; valid group members square to +1,
-    which forces p = |x & z| mod 2.  Groups are deduplicated as frozensets
-    of their 2^n elements.
+    A row's key is its entries divided by the phase of the first above 1e-9, rounded to 1e-8.
     """
-    pop = [bin(i).count("1") for i in range(1 << n)]
+    first = np.argmax(np.abs(vectors) > 1e-9, axis=1)
+    lead = vectors[np.arange(len(vectors)), first]
+    v = vectors / (lead / np.abs(lead))[:, None]
+    keys = np.round(np.concatenate([v.real, v.imag], axis=1) * 1e8).astype(np.int64)
+    return vectors[np.unique(keys, axis=0, return_index=True)[1]]
 
-    def mul(g, h):
-        return ((g[0] + h[0] + 2 * pop[g[2] & h[1]]) % 4, g[1] ^ h[1], g[2] ^ h[2])
 
-    elems = [
-        (p, x, z)
-        for x in range(1 << n)
-        for z in range(1 << n)
-        for p in range(4)
-        if (p - pop[x & z]) % 2 == 0 and (x, z) != (0, 0)
-    ]
-    m = len(elems)
-    commutes = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            gi, gj = elems[i], elems[j]
-            commutes[i, j] = (pop[gi[1] & gj[2]] + pop[gi[2] & gj[1]]) % 2 == 0
-    identity = (0, 0, 0)
-    minus_identity = (2, 0, 0)
-    groups = set()
-    for combo in itertools.combinations(range(m), n):
-        ok = True
-        for i, j in itertools.combinations(combo, 2):
-            if not commutes[i, j]:
-                ok = False
-                break
-        if not ok:
-            continue
-        group = {identity}
-        for i in combo:
-            group |= {mul(elems[i], h) for h in group}
-        if len(group) != 1 << n or minus_identity in group:
-            continue
-        groups.add(frozenset(group))
-    return len(groups)
+def _local_cliffords(d: int) -> np.ndarray:
+    """The single-site Clifford group up to phase, (d^3 (d^2 - 1), d, d).
+
+    The closure of the DFT F, the phase gate S = diag(e^(i pi j (j + d) / d))
+    and the shift X.  F and S alone generate only 24 elements at d = 3.
+    """
+    j = np.arange(d)
+    gens = np.stack([
+        np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d),
+        np.diag(np.exp(1j * np.pi * j * (j + d) / d)),
+        algebra.shift_matrix(d),
+    ])
+    group = np.eye(d, dtype=complex)[None]
+    while True:
+        products = (gens[:, None] @ group).reshape(-1, d, d)
+        grown = _distinct(np.concatenate([group, products]).reshape(-1, d * d))
+        if len(grown) == len(group):
+            return group
+        group = grown.reshape(-1, d, d)
 
 
 def check_stabilizer_count_formula() -> str:
+    # Every local Clifford image of a class representative is a stabilizer
+    # state, so the catalog covers them all exactly when the images number
+    # prod over clusters of d^n prod_i (d^i + 1) (Gross, JMP 47, 122107 (2006)).
     t0 = time.perf_counter()
-    for n, expected in ((2, 60), (3, 1080)):
-        formula = 2**n * int(np.prod([2**i + 1 for i in range(1, n + 1)]))
-        require(formula == expected, f"n={n}: formula gives {formula}, expected {expected}")
-        got = _count_qubit_stabilizer_groups(n)
-        require(got == expected, f"n={n}: counted {got} stabilizer groups, expected {expected}")
-    dt = _elapsed_under(t0, 60.0, "stabilizer group enumeration")
-    return f"60 and 1080 qubit stabilizer groups in {dt:.1f}s"
+    cliffords = {d: _local_cliffords(d) for d in (2, 3)}
+    for d, group in cliffords.items():
+        order = d**3 * (d**2 - 1)
+        require(len(group) == order, f"d={d}: {len(group)} local Cliffords, expected {order}")
+    counts = []
+    for dims, expected in (((2, 2), 60), ((2, 2, 2), 1080), ((3, 3), 360), ((2, 2, 3), 720)):
+        family = graphs.cluster_representatives(dims)
+        found = np.array(
+            [states.assemble_cluster_state(family, a).amplitudes for a in family.assignments()]
+        ).reshape(-1, math.prod(dims))
+        for site, d in enumerate(dims):
+            # (Clifford, output index, state, other sites), then the index back in its place.
+            t = np.tensordot(cliffords[d], found.reshape(-1, *dims), axes=([2], [1 + site]))
+            found = _distinct(np.moveaxis(t, 1, 2 + site).reshape(-1, math.prod(dims)))
+        counts.append(len(found))
+        require(counts[-1] == expected, f"{dims}: {counts[-1]} states, expected {expected}")
+    dt = _elapsed_under(t0, 60.0, "stabilizer state enumeration")
+    return (
+        f"stabilizer states of (2,2)/(2,2,2)/(3,3)/(2,2,3): {'/'.join(map(str, counts))}, "
+        f"local Clifford images of the class catalog, in {dt:.1f}s"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,10 @@ def test_fault_injection_is_caught(monkeypatch):
         )
 
     monkeypatch.setattr(verify.graphs, "enumerate_classes", corrupted)
-    check = next(c for c in verify.CHECKS if c.name == "orbit-counts")
-    result = check.run()
-    assert not result.ok
-    assert "expected" in result.detail
+    for name in ("orbit-counts", "stabilizer-count-formula"):
+        result = next(c for c in verify.CHECKS if c.name == name).run()
+        assert not result.ok, name
+        assert "expected" in result.detail
 
 
 FAULT_UNDER_O = """

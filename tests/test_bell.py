@@ -196,6 +196,33 @@ def test_local_bound_cglmp(d):
     assert local_bound(catalog_cglmp(d)) == pytest.approx(2.0)
 
 
+def _cglmp_from_correlators(d):
+    """CGLMP from its correlator expansion, an independent oracle for the probability form.
+
+    sum_x sum_{l=1}^{d-1} c_l <A_x^l B_x^(d-l)> + conj(c_l) omega^(x l) <A_x^l B_(x+1)^(d-l)>,
+    c_l = sum_k (1 - 2k/(d - 1)) (omega^(-k l) - omega^((k+1) l)), divided by d and
+    taken to probability form by a DFT over each outcome axis.
+    """
+    w = np.exp(2j * np.pi / d)
+    corr = np.zeros((d, d, 2, 2), dtype=complex)
+    for l in range(1, d):
+        cl = sum(
+            (1.0 - 2.0 * k / (d - 1)) * (w ** (-k * l) - w ** ((k + 1) * l)) for k in range(d // 2)
+        )
+        for x in (0, 1):
+            corr[l, d - l, x, x] += cl / d
+            corr[l, d - l, x, 1 - x] += np.conj(cl) * w ** (x * l) / d
+    ker = w ** np.outer(np.arange(d), np.arange(d))
+    prob = np.einsum("ak,bl,klxy->abxy", ker, ker, corr)
+    assert np.max(np.abs(prob.imag)) <= 1e-9
+    return prob.real
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+def test_cglmp_matches_its_correlator_expansion(d):
+    assert np.max(np.abs(catalog_cglmp(d).coeffs - _cglmp_from_correlators(d))) <= 1e-12
+
+
 def test_cglmp_d2_is_a_chsh_variant():
     f = _correlator_weights(catalog_cglmp(2))
     weights = [f[1, 1, x1, x2].real for x1, x2 in itertools.product(range(2), repeat=2)]

@@ -251,31 +251,21 @@ def test_scan_nan_step_is_user_error(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: step must be positive"]
 
 
-def test_env_seed_override():
+def test_seed_comes_only_from_the_flag():
+    # The environment sets no seed: without --seed the run uses 0.
     out = run_cli(["bounds", "tilted-chsh", "--which", "local"], env={"MAGICWIT_SEED": "99"})
     assert out.returncode == 0
-    assert json.loads(out.stdout)["manifest"]["seed"] == 99
+    assert json.loads(out.stdout)["manifest"]["seed"] == 0
 
 
-def test_env_seed_in_process(monkeypatch, capsys):
-    args = ["bounds", "tilted-chsh", "--which", "local"]
-    monkeypatch.setenv("MAGICWIT_SEED", "99")
-    assert main(args) == 0
-    assert json.loads(capsys.readouterr().out)["manifest"]["seed"] == 99
-    monkeypatch.setenv("MAGICWIT_SEED", "abc")
-    assert main(args) == 2
-    assert "MAGICWIT_SEED must be an integer" in capsys.readouterr().err
-
-
-def test_negative_seed_is_user_error_before_any_work(monkeypatch, capsys):
+def test_negative_seed_is_user_error_before_any_work(capsys):
     # The seed is checked with the other see-saw settings, before the local
     # bound or any grid point runs.
     assert main(["bounds", "tilted-chsh", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: seed must be a non-negative integer"]
-    monkeypatch.setenv("MAGICWIT_SEED", "-3")
-    assert main(["heatmap", "--theta-steps", "2", "--phi-steps", "2"]) == 2
+    assert main(["heatmap", "--theta-steps", "2", "--phi-steps", "2", "--seed", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: seed must be a non-negative integer"]

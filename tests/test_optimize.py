@@ -494,7 +494,33 @@ def test_top_eigvec_breaks_degenerate_ties_on_first_component():
 
 def test_seesaw_decrease_raises_invariant_error():
     with pytest.raises(InvariantError, match="see-saw state step decreased"):
-        optimize._ascend([1.0], 0.5, "state step")
+        optimize._ascend([1.0], 0.5, "state step", 1.0)
+
+
+@pytest.mark.parametrize(
+    "ineq",
+    [catalog_svetlichny_r2(), catalog_tilted_chsh(0.5), catalog_cglmp(3)],
+    ids=lambda q: q.name,
+)
+def test_values_scale_with_the_inequality(ineq):
+    # The see-saw's tolerances are in the inequality's units, so c I has
+    # c times the values of I, and no self-check fires at any scale.
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    base = [stabilizer_value(ineq, cfg).value, quantum_value(ineq, cfg).value]
+    for c in (1e-9, 1e-6, 1e6, 1e8):
+        scaled = BellInequality(ineq.outcomes, ineq.settings, c * ineq.coeffs)
+        got = [stabilizer_value(scaled, cfg).value, quantum_value(scaled, cfg).value]
+        assert got == pytest.approx([c * v for v in base], rel=1e-8), c
+
+
+def test_unit_is_one_on_the_catalog():
+    for ineq in (catalog_tilted_chsh(0.0), catalog_tilted_chsh(2.0), catalog_svetlichny_r2()):
+        assert optimize._unit(ineq.coeffs) == 1.0
+    for d in (2, 3, 5, 7, 11):
+        assert optimize._unit(catalog_cglmp(d).coeffs) == 1.0
+    assert optimize._unit(np.zeros((2, 2, 2, 2))) == 1.0
+    assert optimize._unit(np.full((2, 2, 2, 2), -0.25)) == 0.25
+    assert optimize._unit(np.full((2, 2, 2, 2), 8.0)) == 4.0
 
 
 def test_bound_sandwich_tilted():

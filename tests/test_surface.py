@@ -113,3 +113,20 @@ def test_readme_library_example_prints_its_documented_values():
         digits = want.removesuffix("...")
         tol = 0.5 * 10.0 ** -len(digits.split(".")[1]) if want.endswith("...") else 1e-12
         assert float(got) == pytest.approx(float(digits), abs=tol), (got, want)
+
+
+def test_invariants_go_through_require():
+    # `cli.main` maps only InvariantError to exit 1, and `python -O` strips
+    # `assert` statements, so the package checks its invariants with
+    # `errors.require` and never asserts or raises a bare AssertionError.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(raised, ast.Name) and raised.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
