@@ -41,7 +41,6 @@ from magicwit.optimize import (
     quantum_value,
     stabilizer_value,
     w_heatmap,
-    w_state,
 )
 from magicwit.states import (
     GraphState,
@@ -52,6 +51,7 @@ from magicwit.states import (
     plus_state,
     reduced_purity,
     stabilizer_generators,
+    w_state,
 )
 
 __version__ = "0.1.0"

@@ -35,14 +35,18 @@ is checked against <psi|B|psi> of the Bell operator before every state step,
 and the state step re-anchors it to `_objective`, which also values the
 restart.
 
-Every see-saw array has a leading restart axis, one row per restart (a batch
-of 1 for a state they share).  Each row draws its start from its own spawned
-seed (restart 0 of a product state: the planned strategy, always in the first
-batch) and reads no other row, so results do not depend on the batching.
+Every see-saw array has a leading row axis, one row per (state, restart)
+pair.  A fixed state comes one per row, or once for a batch whose rows all
+share it.  Batches span states: `w_heatmap` runs the restarts of all its grid
+points as one stream of rows, sliced into batches by `SEESAW_BUDGET`.  Each
+row draws its start from its own spawned seed (restart 0 of a product state:
+the planned strategy) and reads no other row, so results do not depend on
+how the batches are composed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -119,9 +123,10 @@ class OptimizationReport:
 # Inner see-saw machinery
 # ---------------------------------------------------------------------------
 
-# Entries of the largest see-saw array, the Bell operator's K: restarts x
-# register x prod_i m_i d_i.  `_best_of_restarts` runs the restarts in batches
-# that stay under it; a restart whose own K is over it runs alone, over budget.
+# Entries of the largest see-saw array, the Bell operator's K: rows x
+# register x prod_i m_i d_i.  `_best_of_restarts` runs the (state, restart) rows
+# in batches that stay under it; a row whose own K is over it runs alone, over
+# budget.
 SEESAW_BUDGET = 1 << 20
 # Entries of one restart's K (register^2 x prod_i m_i).  Over it, the see-saw
 # exits with ResourceLimitError before it allocates anything.
@@ -196,40 +201,22 @@ def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vnew, cols[best][:, None, :], axis=2)
 
 
-def _product_factors(psi_t: np.ndarray) -> list[np.ndarray] | None:
-    """Each party's factor of a product state psi_t (1, d_1..d_n); None if any party is entangled.
-
-    Party i factors off exactly when its reduced state rho = M M^dagger, M
-    being psi with that party's index in front, has purity tr rho^2 = 1
-    (within 1e-12).  Every column of M is then the factor times a scalar, so
-    the largest one, normalized, is the factor.
-    """
-    factors = []
-    for i, d in enumerate(psi_t.shape[1:]):
-        m = np.moveaxis(psi_t[0], i, 0).reshape(d, -1)
-        rho = m @ m.conj().T
-        if abs(np.sum(np.abs(rho) ** 2) - 1.0) > 1e-12:
-            return None
-        col = m[:, np.argmax(np.sum(np.abs(m) ** 2, axis=0))]
-        factors.append(col / np.linalg.norm(col))
-    return factors
-
-
 def _reflect(v: np.ndarray, phi: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Householder reflections of the bases v (R, d, d) taking column k[R] to phi, up to a phase.
 
-    Each column c goes to -e^(i arg <phi|c>) phi, so the reflection vector
+    phi is one vector (d,) for every row or one per row (R, d).  Each column
+    c goes to -e^(i arg <phi|c>) phi, so the reflection vector
     u = c + e^(i arg <phi|c>) phi has |u|^2 = 2 + 2 |<phi|c>| >= 2 and no
     cancellation.  The other columns stay orthonormal to it.
     """
     c = np.take_along_axis(v, k[:, None, None], axis=2)[..., 0]
-    u = c + np.exp(1j * np.angle(np.einsum("Rp,p->R", c, phi.conj())))[:, None] * phi
+    u = c + np.exp(1j * np.angle(np.einsum("...p,...p->...", c, phi.conj())))[:, None] * phi
     scale = 2.0 / np.einsum("Rp,Rp->R", u.conj(), u).real
     return v - (scale[:, None] * u)[:, :, None] * np.einsum("Rp,Rpa->Ra", u.conj(), v)[:, None, :]
 
 
 def _product_step(bh: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Exact step of a party whose factor of a product state is phi.
+    """Exact step of a party whose factor of a product state is phi[R].
 
     Every outcome operator is then B[R, a] = g[R, a] |phi><phi| with
     g = tr B, so the value sum_a g_a |<phi|v_a>|^2 is at most max_a g_a, and
@@ -237,6 +224,16 @@ def _product_step(bh: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ties).
     """
     return _reflect(v, phi, np.argmax(np.einsum("Rapp->Ra", bh).real, axis=1))
+
+
+def _update(bh, v, phi, product):
+    """Basis step per row: `_product_step` on the rows `product` indexes, else `_basis_update`."""
+    if len(product) == len(v):
+        return _product_step(bh, v, phi)
+    new = _basis_update(bh, v)
+    if len(product):
+        new[product] = _product_step(bh[product], v[product], phi[product])
+    return new
 
 
 def _unit(coeffs: np.ndarray) -> float:
@@ -295,18 +292,24 @@ def _top_eigvec(op: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.take_along_axis(vecs, best[:, None, None], axis=2)[..., 0])
 
 
-def _restarts(coeffs, outcomes, settings, psi, seeds, first=False):
+def _restarts(coeffs, outcomes, settings, psi, seeds, factors, starts):
     """One see-saw per seed, each restart a row of one batch.
 
-    A restart draws its start from its own seed: a free state (`psi` None)
-    first, then the bases party by party.  Each iteration sweeps the rows
-    still running, then takes the state step if the state is free; a row
-    stops once a sweep gains less than `STOP_TOL` `_unit`s, or after `MAX_SWEEPS`.
+    `psi` is None for a free state, else the fixed states (R, dim), one per
+    row, or one state (dim,) that every row shares.  A restart draws its start
+    from its own seed: a free state first, then the bases party by party.
+    Each iteration sweeps the rows still running, then takes the state step
+    if the state is free; a row stops once a sweep gains less than `STOP_TOL`
+    `_unit`s, or after `MAX_SWEEPS`.
 
-    A fixed product state takes `_product_step` in place of `_basis_update`.
-    When `first` (seeds[0] is restart 0 of the call), that row starts at the
-    best deterministic strategy instead, its factors in the planned columns,
-    unless the strategies exceed `bell.DEFAULT_STRATEGY_BUDGET`.
+    factors[r] is None, or the factors of row r's state when it is a product
+    (`states._product_factors`); such a row takes `_product_step` in place of
+    `_basis_update`.  A row with starts[r] set (restart 0 of a product state)
+    starts instead with its factors in the planned columns, starts[r][i][x]
+    being party i's outcome in setting x.
+
+    Each sweep's trace is kept as the list of rows it ran and their (rows,
+    steps) values, led by the start values.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     unit = _unit(coeffs)
@@ -320,22 +323,23 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, first=False):
         np.stack([[_random_basis(rng, d) for _ in range(m)] for rng in rngs])
         for d, m in zip(outcomes, settings)
     ]
-    factors = None if free_state else _product_factors(psi_t)
-    if factors is not None and first:
-        try:
-            plan = bell._local_optimum(bell.BellInequality(outcomes, settings, coeffs))[1]
-        except ResourceLimitError:
-            plan = []  # restart 0 keeps its random start
-        for b, phi, outs in zip(bases, factors, plan):
-            b[0] = _reflect(b[0], phi, outs)
+    product = np.array([f is not None for f in factors])
+    # An entangled row's factor is a placeholder that `_update` never reads.
+    phis = [np.array([f[i] if f else np.zeros(d) for f in factors]) for i, d in enumerate(outcomes)]
+    for r, start in enumerate(starts):
+        for b, phi, outs in zip(bases, phis, start or ()):
+            b[r] = _reflect(b[r], phi[r], outs)
     value = _objective(psi_t, bases, coeffs)
-    traces = [[v] for v in value.tolist()]
+    sweeps = [(list(range(len(rngs))), value[:, None].copy())]
+    sub_phis, sub_product = phis, ()
     iters = np.zeros(len(rngs), dtype=int)
     converged = np.zeros(len(rngs), dtype=bool)
     for it in range(1, MAX_SWEEPS + 1):
         rows = np.flatnonzero(~converged)
         sub = [b[rows] for b in bases]
-        sub_t = psi_t[rows] if free_state else psi_t
+        sub_t = psi_t if len(psi_t) == 1 else psi_t[rows]
+        if product.any():
+            sub_phis, sub_product = [phi[rows] for phi in phis], np.flatnonzero(product[rows])
         trace = [value[rows]]
         for i in range(len(settings)):
             c = _contractions(sub_t, sub, i)
@@ -343,10 +347,7 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, first=False):
                 env = _environments(c, coeffs, i, s)
                 env = 0.5 * (env + np.conj(env.swapaxes(-1, -2)))
                 old = _active_value(env, sub[i][:, s])
-                if factors is None:
-                    sub[i][:, s] = _basis_update(env, sub[i][:, s])
-                else:
-                    sub[i][:, s] = _product_step(env, sub[i][:, s], factors[i])
+                sub[i][:, s] = _update(env, sub[i][:, s], sub_phis[i], sub_product)
                 _ascend(trace, trace[-1] + (_active_value(env, sub[i][:, s]) - old), "step", unit)
         if free_state:
             op = _bell_operator(sub, coeffs)
@@ -357,8 +358,7 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, first=False):
             _ascend(trace, _objective(sub_t, sub, coeffs), "state step", unit)
         for b, new in zip(bases, sub):
             b[rows] = new
-        for r, steps in zip(rows, np.stack(trace[1:], axis=1).tolist()):
-            traces[r].extend(steps)
+        sweeps.append((rows.tolist(), np.stack(trace[1:], axis=1)))
         value[rows] = trace[-1]
         iters[rows] = it
         converged[rows] = trace[-1] - trace[0] < STOP_TOL * unit
@@ -369,14 +369,37 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, first=False):
         _require_on_trace(value, final, unit)
         value = final
     # With a free state the last state step valued every row by `_objective`.
-    return value, bases, traces, iters, converged, psi_t
+    return value, bases, sweeps, iters, converged, psi_t
 
 
-def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
-    """Run one see-saw per seed spawned from `root`; re-check and report the best.
+def _rows(ineq, jobs, restarts):
+    """(state, factors, start, seed) of every restart of every job, made as they are read.
 
-    The restarts run in batches of at most `SEESAW_BUDGET` entries of K.  The
-    best is the highest final value, the lowest restart index on ties.
+    Product detection runs once per state, and `bell._local_optimum` at most
+    once: its plan is the start of restart 0 of every product state (none
+    past `bell.DEFAULT_STRATEGY_BUDGET`).
+    """
+    plan = None
+    for psi, root in jobs:
+        factors = None if psi is None else states._product_factors(psi.reshape(1, *ineq.outcomes))
+        if factors and plan is None:
+            try:
+                plan = bell._local_optimum(ineq)[1]
+            except ResourceLimitError:
+                plan = []  # restart 0 keeps its random start
+        for r, seed in enumerate(root.spawn(restarts)):
+            yield psi, factors, plan if factors and r == 0 else None, seed
+
+
+def _best_of_restarts(ineq, jobs, cfg, state_label) -> Iterator[OptimizationReport]:
+    """Run `cfg.restarts` see-saws per job; re-check and report each job's best, in job order.
+
+    A job is a fixed state (or None for a free one) and the SeedSequence its
+    restarts are spawned from; jobs are all free or all fixed.  The (job,
+    restart) rows run in order, in batches of at most `SEESAW_BUDGET`
+    entries of K that span jobs, each built when it runs.  A job's report is
+    yielded once its last restart is done.  The best is the highest final
+    value, the lowest restart index on ties.
     """
     entries = math.prod(ineq.outcomes) ** 2 * math.prod(ineq.settings)
     if entries > SEESAW_REGISTER_LIMIT:
@@ -384,34 +407,43 @@ def _best_of_restarts(ineq, psi, cfg, root, state_label) -> OptimizationReport:
             f"see-saw register of {entries} entries per restart exceeds the limit "
             f"{SEESAW_REGISTER_LIMIT}"
         )
-    seeds = root.spawn(cfg.restarts)
     size = max(1, SEESAW_BUDGET // entries)
-    runs = [
-        _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, seeds[lo : lo + size], lo == 0)
-        for lo in range(0, cfg.restarts, size)
-    ]
-    values, iters, converged = (np.concatenate([run[i] for run in runs]) for i in (0, 3, 4))
-    best = int(np.argmax(values))
-    _, bases, traces, _, _, psis = runs[best // size]
-    k = best % size
-    state = psis[k].reshape(-1) if psi is None else psi
-    measurements = tuple(tuple(b[k]) for b in bases)
-    reval = bell.evaluate(ineq, bell.behavior_from_state(state, measurements))
+    stream = _rows(ineq, jobs, cfg.restarts)
     tol = 1e-8 * _unit(ineq.coeffs)
-    require(abs(reval - values[best]) <= tol, "re-evaluation drifted from the see-saw value")
-    return OptimizationReport(
-        value=reval,
-        measurements=measurements,
-        state=state,
-        state_label=state_label,
-        best_class=None,
-        restart_values=tuple(values.tolist()),
-        restart_iterations=tuple(iters.tolist()),
-        restart_converged=tuple(converged.tolist()),
-        iterations=int(iters[best]),
-        converged=bool(converged[best]),
-        trace=tuple(traces[k]),
-    )
+    done = []  # (run, row, state) of the job's restarts so far
+    while batch := list(itertools.islice(stream, size)):
+        psis, factors, starts, seeds = zip(*batch)
+        psi = psis[0] if all(p is psis[0] for p in psis) else np.stack(psis)
+        run = _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, seeds, factors, starts)
+        for r, state in enumerate(psis):
+            done.append((run, r, state))
+            if len(done) < cfg.restarts:
+                continue
+            vals, iters, converged = (
+                np.array([out[i][row] for out, row, _ in done]) for i in (0, 3, 4)
+            )
+            best = int(np.argmax(vals))
+            (_, bases, sweeps, _, _, psi_t), k, state = done[best]
+            state = psi_t[k].reshape(-1) if state is None else state
+            measurements = tuple(tuple(b[k]) for b in bases)
+            reval = bell.evaluate(ineq, bell.behavior_from_state(state, measurements))
+            require(abs(reval - vals[best]) <= tol, "re-evaluation drifted from the see-saw value")
+            # Row k ran the first iters[best] sweeps, each after its start value.
+            trace = [x for ran, t in sweeps[: iters[best] + 1] for x in t[ran.index(k)].tolist()]
+            yield OptimizationReport(
+                value=reval,
+                measurements=measurements,
+                state=state,
+                state_label=state_label,
+                best_class=None,
+                restart_values=tuple(vals.tolist()),
+                restart_iterations=tuple(iters.tolist()),
+                restart_converged=tuple(converged.tolist()),
+                iterations=int(iters[best]),
+                converged=bool(converged[best]),
+                trace=tuple(trace),
+            )
+            done = []
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +466,7 @@ def optimize_measurements(
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
         raise ValueError("state must be normalized")
     root = _seed_seq if _seed_seq is not None else np.random.SeedSequence(cfg.seed)
-    return _best_of_restarts(ineq, psi, cfg, root, "fixed state")
-
-
-def _per_state(ineq, fixed_states: Sequence, cfg: OptimizerConfig) -> Iterator[OptimizationReport]:
-    """One `optimize_measurements` report per state, made lazily.
-
-    State k draws its restarts from child k of `SeedSequence(cfg.seed)`.  A
-    caller that keeps only the values holds one report at a time.
-    """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(fixed_states))
-    return (
-        optimize_measurements(ineq, state, cfg, _seed_seq=seed)
-        for state, seed in zip(fixed_states, seeds)
-    )
+    return next(_best_of_restarts(ineq, [(psi, root)], cfg, "fixed state"))
 
 
 def stabilizer_value(
@@ -463,8 +482,11 @@ def stabilizer_value(
     """
     family = graphs.cluster_representatives(ineq.outcomes)
     classes = list(family.assignments())
-    gs = [states.assemble_cluster_state(family, a) for a in classes]
-    reports = list(_per_state(ineq, gs, cfg))
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(classes))
+    reports = [
+        optimize_measurements(ineq, states.assemble_cluster_state(family, a), cfg, _seed_seq=seed)
+        for a, seed in zip(classes, seeds)
+    ]
     class_values = tuple(rep.value for rep in reports)
     best = int(np.argmax(class_values))
     label = " (+) ".join(f"d={a.d} edges={a.edges() or '-'}" for a in classes[best])
@@ -485,7 +507,8 @@ def quantum_value(
     lower bound on the maximum over arbitrary Hilbert spaces: the register
     is pinned to one copy of each party's outcome dimension.
     """
-    return _best_of_restarts(ineq, None, cfg, np.random.SeedSequence(cfg.seed), "optimized state")
+    jobs = [(None, np.random.SeedSequence(cfg.seed))]
+    return next(_best_of_restarts(ineq, jobs, cfg, "optimized state"))
 
 
 @dataclass(frozen=True)
@@ -513,15 +536,6 @@ def gap_scan(
     return rows
 
 
-def w_state(theta: float, phi: float) -> np.ndarray:
-    """Three-qubit family sin(t)sin(p)|001> + sin(t)cos(p)|010> + cos(t)|100>."""
-    v = np.zeros(8, dtype=complex)
-    v[1] = np.sin(theta) * np.sin(phi)
-    v[2] = np.sin(theta) * np.cos(phi)
-    v[4] = np.cos(theta)
-    return v
-
-
 def w_heatmap(
     theta_grid: Sequence[float],
     phi_grid: Sequence[float],
@@ -533,6 +547,7 @@ def w_heatmap(
     if any(not 0.0 <= t <= np.pi for t in thetas + phis):
         raise ValueError("grid angles must lie in [0, pi]")
     ineq = bell.catalog_svetlichny_r2()
-    grid = [w_state(t, p) for t in thetas for p in phis]
-    values = [rep.value for rep in _per_state(ineq, grid, cfg)]
+    root = np.random.SeedSequence(cfg.seed)
+    jobs = ((states.w_state(t, p), root.spawn(1)[0]) for t in thetas for p in phis)
+    values = [rep.value for rep in _best_of_restarts(ineq, jobs, cfg, "fixed state")]
     return np.reshape(values, (len(thetas), len(phis)))

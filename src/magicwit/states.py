@@ -1,4 +1,4 @@
-"""Graph states, their stabilizer generators, and simple state functionals.
+"""Graph states, their stabilizer generators, the W family, and simple state functionals.
 
 Two independent construction paths are kept on purpose: the closed-form
 phase polynomial (`build_graph_state`) and explicit controlled-phase gate
@@ -128,6 +128,34 @@ def reduced_purity(state: GraphState, keep: Sequence[int]) -> float:
     k = int(np.prod([dims[i] for i in keep]))
     rho = rho.reshape(k, k)
     return float(np.real(np.einsum("ij,ji->", rho, rho)))
+
+
+def _product_factors(psi_t: np.ndarray) -> list[np.ndarray] | None:
+    """Each party's factor of a product state psi_t (1, d_1..d_n); None if any party is entangled.
+
+    Party i factors off exactly when its reduced state rho = M M^dagger, M
+    being psi with that party's index in front, has purity tr rho^2 = 1
+    (within 1e-12).  Every column of M is then the factor times a scalar, so
+    the largest one, normalized, is the factor.
+    """
+    factors = []
+    for i, d in enumerate(psi_t.shape[1:]):
+        m = np.moveaxis(psi_t[0], i, 0).reshape(d, -1)
+        rho = m @ m.conj().T
+        if abs(np.sum(np.abs(rho) ** 2) - 1.0) > 1e-12:
+            return None
+        col = m[:, np.argmax(np.sum(np.abs(m) ** 2, axis=0))]
+        factors.append(col / np.linalg.norm(col))
+    return factors
+
+
+def w_state(theta: float, phi: float) -> np.ndarray:
+    """Three-qubit family sin(t)sin(p)|001> + sin(t)cos(p)|010> + cos(t)|100>."""
+    v = np.zeros(8, dtype=complex)
+    v[1] = np.sin(theta) * np.sin(phi)
+    v[2] = np.sin(theta) * np.cos(phi)
+    v[4] = np.cos(theta)
+    return v
 
 
 def assemble_cluster_state(

@@ -26,9 +26,14 @@ from magicwit.optimize import (
     quantum_value,
     stabilizer_value,
     w_heatmap,
+)
+from magicwit.states import (
+    GraphState,
+    _product_factors,
+    assemble_cluster_state,
+    build_graph_state,
     w_state,
 )
-from magicwit.states import GraphState, assemble_cluster_state, build_graph_state
 
 CFG = OptimizerConfig(restarts=16, seed=7)
 
@@ -306,9 +311,11 @@ def test_objective_calls_per_restart(monkeypatch, ineq, free_state):
     real = optimize._objective
     monkeypatch.setattr(optimize, "_objective", lambda *a: calls.append(1) or real(*a))
     dim = int(np.prod(ineq.outcomes))
-    psi = None if free_state else np.ones(dim, dtype=complex) / np.sqrt(dim)
+    psi = None if free_state else np.ones((1, dim), dtype=complex) / np.sqrt(dim)
+    factors = None if free_state else _product_factors(psi.reshape(1, *ineq.outcomes))
     seeds = [np.random.SeedSequence(3)]
-    iters = optimize._restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, seeds)[3][0]
+    args = ineq.coeffs, ineq.outcomes, ineq.settings, psi, seeds, [factors], [None]
+    iters = optimize._restarts(*args)[3][0]
     assert iters > 1
     assert len(calls) == (1 + iters if free_state else 2)
 
@@ -351,7 +358,7 @@ def test_product_factors_of_random_product_states(dims):
     rng = np.random.default_rng(sum(dims))
     for _ in range(5):
         psi = _product_state(rng, dims)
-        factors = optimize._product_factors(psi.reshape(1, *dims))
+        factors = _product_factors(psi.reshape(1, *dims))
         assert [len(f) for f in factors] == list(dims)
         # Unit factors that rebuild psi up to a global phase.
         assert all(abs(np.linalg.norm(f) - 1.0) <= 1e-12 for f in factors)
@@ -366,7 +373,7 @@ def test_product_factors_reject_entangled_states():
     nearly = np.sqrt(1 - 1e-6) * product + np.sqrt(1e-6) * maximally_entangled
     nearly /= np.linalg.norm(nearly)
     for psi, dims in ((ghz, (3, 3, 3)), (maximally_entangled, (3, 3)), (nearly, (3, 3))):
-        assert optimize._product_factors(psi.reshape(1, *dims)) is None
+        assert _product_factors(psi.reshape(1, *dims)) is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -636,31 +643,94 @@ def test_gap_scan_rows():
     assert quantum == sorted(quantum)
 
 
-def test_state_k_draws_from_child_k_of_the_seed():
+def _grid_reports(monkeypatch):
+    """Collect the report of every grid point that `w_heatmap` consumes from here on."""
+    reports = []
+    real = optimize._best_of_restarts
+
+    def kept(*args):
+        for rep in real(*args):
+            reports.append(rep)
+            yield rep
+
+    monkeypatch.setattr(optimize, "_best_of_restarts", kept)
+    return reports
+
+
+def test_state_k_draws_from_child_k_of_the_seed(monkeypatch):
     # Grid point k and class k run optimize_measurements on child k of
-    # SeedSequence(cfg.seed), bit for bit.
+    # SeedSequence(cfg.seed), bit for bit.  The grid holds product points
+    # (theta = 0, and (pi/2, 0)) beside entangled ones, and batches of 3 rows
+    # split every point's 4 restarts, so batches mix states of both kinds.
     ineq = catalog_svetlichny_r2()
     cfg = OptimizerConfig(restarts=4, seed=3)
 
     def by_child(fixed_states):
         children = np.random.SeedSequence(cfg.seed).spawn(len(fixed_states))
         return [
-            optimize_measurements(ineq, state, cfg, _seed_seq=child).value
+            optimize_measurements(ineq, state, cfg, _seed_seq=child)
             for state, child in zip(fixed_states, children)
         ]
 
-    thetas, phis = [0.3, 1.1], [0.2, 0.9, 2.0]
+    def fields(rep):
+        return rep.value, rep.restart_values, rep.restart_iterations, rep.trace
+
+    thetas, phis = [0.0, 1.1, np.pi / 2], [0.0, 0.9, 2.0]
+    points = [w_state(t, p) for t in thetas for p in phis]
+    expected = by_child(points)
+    assert sum(_product_factors(p.reshape(1, 2, 2, 2)) is not None for p in points) == 4
+    reports = _grid_reports(monkeypatch)
+    monkeypatch.setattr(optimize, "SEESAW_BUDGET", 3 * 8**2 * 2**3)
     heat = w_heatmap(thetas, phis, cfg)
-    assert heat.shape == (2, 3)
-    assert heat.reshape(-1).tolist() == by_child([w_state(t, p) for t in thetas for p in phis])
+    assert heat.shape == (3, 3)
+    assert heat.reshape(-1).tolist() == [rep.value for rep in expected]
+    assert [fields(rep) for rep in reports] == [fields(rep) for rep in expected]
 
     family = cluster_representatives(ineq.outcomes)
     classes = list(family.assignments())
-    expected = by_child([assemble_cluster_state(family, a) for a in classes])
+    values = [rep.value for rep in by_child([assemble_cluster_state(family, a) for a in classes])]
     rep = stabilizer_value(ineq, cfg)
-    assert list(rep.class_values) == expected
-    assert rep.value == max(expected)
-    assert rep.best_class == classes[expected.index(max(expected))]
+    assert list(rep.class_values) == values
+    assert rep.value == max(values)
+    assert rep.best_class == classes[values.index(max(values))]
+
+
+def test_batches_stay_within_the_budget(monkeypatch):
+    # Every _restarts call gets at most SEESAW_BUDGET // entries rows, and
+    # the values equal those of the default budget, which runs all 30 rows
+    # as one batch.
+    ineq = catalog_svetlichny_r2()
+    cfg = OptimizerConfig(restarts=5, seed=1)
+    thetas, phis = [0.0, 0.7, 1.9], [0.4, np.pi / 2]
+    whole = w_heatmap(thetas, phis, cfg)
+    sizes = []
+    real = optimize._restarts
+    monkeypatch.setattr(optimize, "_restarts", lambda *a: sizes.append(len(a[4])) or real(*a))
+    entries = 8**2 * 2**3
+    monkeypatch.setattr(optimize, "SEESAW_BUDGET", 7 * entries + entries // 2)
+    assert np.array_equal(w_heatmap(thetas, phis, cfg), whole)
+    assert sizes == [7, 7, 7, 7, 2]
+    # Below one row's entries, every row runs alone.
+    sizes.clear()
+    monkeypatch.setattr(optimize, "SEESAW_BUDGET", entries - 1)
+    assert np.array_equal(w_heatmap(thetas, phis, cfg), whole)
+    assert sizes == [1] * 30
+
+
+def test_product_detection_and_plan_run_once_per_state_and_call(monkeypatch):
+    # A 3x3 grid with 5 product points: one purity check per point, and the
+    # restart-0 plan of the deterministic strategies once for the whole call.
+    calls = {"_product_factors": 0, "_local_optimum": 0}
+    for module, name in ((optimize.states, "_product_factors"), (optimize.bell, "_local_optimum")):
+        real = getattr(module, name)
+
+        def counted(*a, real=real, name=name):
+            calls[name] += 1
+            return real(*a)
+
+        monkeypatch.setattr(module, name, counted)
+    w_heatmap([0.0, 0.9, np.pi / 2], [0.0, 0.6, np.pi / 2], OptimizerConfig(restarts=8, seed=2))
+    assert calls == {"_product_factors": 9, "_local_optimum": 1}
 
 
 def test_gap_scan_row_reuses_the_seed_at_every_point():

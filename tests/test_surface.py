@@ -9,6 +9,7 @@ import contextlib
 import dataclasses
 import inspect
 import io
+import pkgutil
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -19,6 +20,18 @@ import magicwit
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "magicwit"
+
+
+def _sources() -> list[Path]:
+    """The package's source files, for every rule that scans them.
+
+    A rule that scanned no file would pass vacuously, so every module of the
+    imported package must be among them.
+    """
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {"__init__", *(m.name for m in pkgutil.iter_modules(magicwit.__path__))}
+    assert modules <= {p.stem for p in paths}, f"{PACKAGE} lacks the package's modules"
+    return paths
 
 
 def _exports() -> list[str]:
@@ -33,7 +46,7 @@ def _exports() -> list[str]:
 
 def _referenced_names() -> set[str]:
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in _sources():
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -56,7 +69,7 @@ def test_every_export_is_used_inside_the_package():
 def _calls_by_callee() -> dict[str, list[ast.Call]]:
     """Every call in the package, keyed by the called name (`f(...)` or `mod.f(...)`)."""
     calls = defaultdict(list)
-    for path in PACKAGE.glob("*.py"):
+    for path in _sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -120,7 +133,7 @@ def test_invariants_go_through_require():
     # `assert` statements, so the package checks its invariants with
     # `errors.require` and never asserts or raises a bare AssertionError.
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in _sources():
         for node in ast.walk(ast.parse(path.read_text())):
             raised = node.exc if isinstance(node, ast.Raise) else None
             if isinstance(raised, ast.Call):
