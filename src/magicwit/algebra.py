@@ -3,7 +3,8 @@
 Everything downstream works with explicit complex matrices.  At this scale
 (single-site dimension at most 7, full registers below a hundred amplitudes)
 dense numpy arrays are the simplest correct representation; no sparse or
-tableau machinery is used.
+tableau machinery is used.  The random orthonormal bases that start the
+see-saw are drawn here too.
 """
 
 from __future__ import annotations
@@ -63,3 +64,21 @@ def is_unitary(m: np.ndarray) -> bool:
         return False
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-8)
 
+
+def random_bases(rngs, d: int, m: int) -> np.ndarray:
+    """m random orthonormal bases (columns) per generator, stacked (R, m, d, d).
+
+    A qubit basis is the eigenbasis of u . sigma for a Gaussian u, the +1
+    eigenvector first; any other d gives a Haar unitary.  Each basis reads
+    its normals from its row's generator in turn (a qubit u = (x, y, z), a
+    qudit the d^2 real parts, then the d^2 imaginary parts), so a row does
+    not depend on the other rows of the batch.
+    """
+    if d == 2:
+        x, y, z = np.stack([rng.standard_normal((m, 3)) for rng in rngs]).transpose(2, 0, 1)
+        h = np.array([[z, x - 1j * y], [x + 1j * y, -z]]).transpose(2, 3, 0, 1)
+        return np.linalg.eigh(h)[1][..., ::-1]
+    g = np.stack([rng.standard_normal((m, 2, d, d)) for rng in rngs])
+    q, r = np.linalg.qr(g[:, :, 0] + 1j * g[:, :, 1])
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (ph / np.abs(ph))[..., None, :]

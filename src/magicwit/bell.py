@@ -97,7 +97,7 @@ def amplitudes(t: np.ndarray, bases) -> np.ndarray:
     for stack in bases:
         m, q, d = stack.shape[-3:]
         k = np.conj(stack).swapaxes(-3, -2).reshape(*stack.shape[:-3], q, m * d)
-        amp = np.moveaxis(t, 1, -1).reshape(len(t), -1, q) @ k
+        amp = t.transpose(0, *range(2, t.ndim), 1).reshape(len(t), -1, q) @ k
         t = amp.reshape(len(amp), *t.shape[2:], m, d)
     return t
 

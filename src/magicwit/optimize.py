@@ -1,8 +1,11 @@
 """Measurement and state optimization by monotone see-saw ascent.
 
-With every measurement but one held fixed, the Bell value is linear in the
-remaining one.  For each (party, setting) visit the update solves that
-linear subproblem:
+With every party but one held fixed, the Bell value is a sum over that
+party's settings of terms each linear in one setting's basis, and the
+outcome operators of the terms (the environments) involve none of the
+party's bases.  So the settings separate, and each party takes one step in
+which all its settings solve their linear subproblems at once, exactly as
+if they stepped one after another:
 
 * qubits: the value is tr B_1 + <v_0|B_0 - B_1|v_0>, so the exact
   maximizer is the eigenbasis of B_0 - B_1 with its top eigenvector first;
@@ -22,18 +25,19 @@ The unrestricted quantum value alternates measurement sweeps with an exact
 state update (top eigenvector of the Bell operator).  Every step is
 monotone, so each restart's trace is non-decreasing.
 
-Every Born-rule contraction (the objective, a party's environments, the Bell
-operator) goes through one kernel, `bell.amplitudes`: one batched matmul per
-party against that party's stacked bases.
+Every Born-rule contraction (the objective, a party's environments) goes
+through one kernel, `bell.amplitudes`: one batched matmul per party against
+that party's stacked bases.  The Bell operator needs none: its factor K is
+the outer product of the parties' conjugated stacks.
 
-A measurement step is valued from its own environment: the objective is
-sum_a <v_a|B_a|v_a> plus terms free of the active basis, so the trace gains
-the change in that sum and no Born-rule contraction of the whole objective
-runs inside a sweep.  The accumulated trace is checked against the Born rule
-(`_objective`) at the end of every fixed-state restart.  With a free state it
-is checked against <psi|B|psi> of the Bell operator before every state step,
-and the state step re-anchors it to `_objective`, which also values the
-restart.
+A party's step is valued from its own environments: the objective is
+sum_s sum_a <v_sa|B_sa|v_sa> plus terms free of the party's bases, so the
+trace gains the change in each setting's sum, one entry per setting, and no
+Born-rule contraction of the whole objective runs inside a sweep.  The
+accumulated trace is checked against the Born rule (`_objective`) at the
+end of every fixed-state restart.  With a free state it is checked against
+<psi|B|psi> of the Bell operator before every state step, and the state step
+re-anchors it to `_objective`, which also values the restart.
 
 Every see-saw array has a leading row axis, one row per (state, restart)
 pair.  A fixed state comes one per row, or once for a batch whose rows all
@@ -53,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from magicwit import bell, graphs, states
+from magicwit import algebra, bell, graphs, states
 from magicwit.errors import ResourceLimitError, require
 
 
@@ -147,38 +151,49 @@ def _contractions(psi_t, bases, party) -> np.ndarray:
     Entry [R, x, r, p] is restart R's amplitude of outcome tuple r of the
     other parties in setting tuple x, with the active party's index p left
     open; x and r run row-major over the other parties in order.  The stack
-    does not involve `party`'s own bases, so one serves a whole visit.
+    does not involve `party`'s own bases, so one serves all its settings.
     """
-    d = psi_t.shape[1 + party]
-    # Measured in the one-setting identity stack, the active party's index stays open.
-    stacks = [np.eye(d)[None, None] if j == party else b for j, b in enumerate(bases)]
-    amp = bell.amplitudes(psi_t, stacks)
     others = [j for j in range(len(bases)) if j != party]
-    axes = [2 * j + 1 for j in others]
-    axes = [0, *axes, *(ax + 1 for ax in axes), 2 * party + 1, 2 * party + 2]
-    return amp.transpose(axes).reshape(len(amp), math.prod(len(bases[j][0]) for j in others), -1, d)
+    # With the active party's index last, the kernel keeps it open in front of the others' pairs.
+    t = psi_t.transpose(0, *(1 + j for j in others), 1 + party)
+    amp = bell.amplitudes(t, [bases[j] for j in others])
+    axes = range(2, amp.ndim, 2)
+    amp = amp.transpose(0, *axes, *(ax + 1 for ax in axes), 1)
+    return amp.reshape(len(amp), math.prod(len(bases[j][0]) for j in others), -1, t.shape[-1])
 
 
-def _environments(c, coeffs, party, setting) -> np.ndarray:
-    """Stacks of outcome operators B[R, a] for the active (party, setting).
+def _coefficient_block(coeffs, party) -> np.ndarray:
+    """The party's coefficients w[(s, a), (r, x)]: the others' outcomes r, then their settings x.
 
-    `c` is the party's `_contractions` stack.  The objective is
-    sum_a <v_a|B[a]|v_a> over the active basis {v_a} plus terms that do not
-    involve it, so a basis update changes the objective by the change in
-    that sum.  `_restarts` values each step that way and checks the summed
-    steps against the Born rule.
+    Complex, so that `_environments` multiplies with the complex matmul of
+    every other see-saw contraction: a real one pulls further BLAS code
+    into memory.
     """
-    _, nx, nr, d = c.shape
-    w = np.take(coeffs, setting, axis=coeffs.ndim // 2 + party)
-    w = np.moveaxis(w, party, 0).reshape(d, nr, nx)
-    # x is summed last, one setting tuple after another: restarts that tie on
-    # a plateau are ranked by rounding, so the order decides which one is
-    # reported.
-    return np.einsum("arx,Rxrp,Rxrq->Rxapq", w, c, c.conj()).sum(axis=1)
+    n = coeffs.ndim // 2
+    m, d = coeffs.shape[n + party], coeffs.shape[party]
+    return np.moveaxis(coeffs, (n + party, party), (0, 1)).reshape(m * d, -1).astype(complex)
+
+
+def _environments(c, w) -> np.ndarray:
+    """Outcome operators B[R, s, a] of every setting s of the active party, (R, m, d, d, d).
+
+    `c` is the party's `_contractions` stack and `w` its `_coefficient_block`.
+    The objective is sum_s sum_a <v_sa|B[s, a]|v_sa> over the party's bases
+    {v_s} plus terms that do not involve them, and no B[s] involves any of
+    them, so the settings separate: all of them take their step at once, and
+    each changes the objective by the change in its own sum.  `_restarts`
+    values the steps that way and checks their sum against the Born rule.
+    """
+    rows, nx, nr, d = c.shape
+    # With (r, x) in front, one matmul over it serves every row.
+    c = c.transpose(2, 1, 0, 3).reshape(nr * nx, rows, d)
+    outer = c[..., :, None] * c[..., None, :].conj()
+    b = (w @ outer.reshape(nr * nx, -1)).reshape(-1, rows, d, d)
+    return b.swapaxes(0, 1).reshape(rows, -1, d, d, d)
 
 
 def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One monotone alignment step per restart, bh (R, d, d, d), basis v (R, d, d).
+    """One monotone alignment step per basis, bh (..., d, d, d), basis v (..., d, d).
 
     For d = 2 the step is exact: the value is tr B_1 + <v_0|B_0 - B_1|v_0>,
     maximized by the eigenbasis of B_0 - B_1 with the top vector first.
@@ -189,50 +204,54 @@ def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     d = v.shape[-1]
     if d == 2:
-        return np.linalg.eigh(bh[:, 0] - bh[:, 1])[1][..., ::-1]
-    lam = np.linalg.eigvalsh(bh).min(axis=(1, 2))
-    w = np.einsum("Rapq,Rqa->Rpa", bh, v) - lam[:, None, None] * v
+        return np.linalg.eigh(bh[..., 0, :, :] - bh[..., 1, :, :])[1][..., ::-1]
+    lam = np.linalg.eigvalsh(bh).min(axis=(-2, -1))
+    w = np.einsum("...apq,...qa->...pa", bh, v) - lam[..., None, None] * v
     p, _, qh = np.linalg.svd(w)
     vnew = p @ qh
-    g = np.einsum("Rpc,Rapq,Rqc->Rac", vnew.conj(), bh, vnew).real
+    g = np.einsum("...pc,...apq,...qc->...ac", vnew.conj(), bh, vnew).real
     a = np.arange(d)
     cols = (a[None, :] + a[:, None]) % d
-    best = np.argmax(g[:, a, cols].sum(axis=2), axis=1)
-    return np.take_along_axis(vnew, cols[best][:, None, :], axis=2)
+    best = np.argmax(g[..., a, cols].sum(axis=-1), axis=-1)
+    return np.take_along_axis(vnew, cols[best][..., None, :], axis=-1)
 
 
 def _reflect(v: np.ndarray, phi: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Householder reflections of the bases v (R, d, d) taking column k[R] to phi, up to a phase.
+    """Householder reflections of the bases v (..., d, d) taking column k to phi, up to a phase.
 
-    phi is one vector (d,) for every row or one per row (R, d).  Each column
-    c goes to -e^(i arg <phi|c>) phi, so the reflection vector
+    phi (d,) serves every basis, or phi (..., d) broadcasts against them.
+    Each column c goes to -e^(i arg <phi|c>) phi, so the reflection vector
     u = c + e^(i arg <phi|c>) phi has |u|^2 = 2 + 2 |<phi|c>| >= 2 and no
     cancellation.  The other columns stay orthonormal to it.
     """
-    c = np.take_along_axis(v, k[:, None, None], axis=2)[..., 0]
-    u = c + np.exp(1j * np.angle(np.einsum("...p,...p->...", c, phi.conj())))[:, None] * phi
-    scale = 2.0 / np.einsum("Rp,Rp->R", u.conj(), u).real
-    return v - (scale[:, None] * u)[:, :, None] * np.einsum("Rp,Rpa->Ra", u.conj(), v)[:, None, :]
+    c = np.take_along_axis(v, k[..., None, None], axis=-1)[..., 0]
+    u = c + np.exp(1j * np.angle(np.einsum("...p,...p->...", c, phi.conj())))[..., None] * phi
+    scale = 2.0 / np.einsum("...p,...p->...", u.conj(), u).real
+    uv = np.einsum("...p,...pa->...a", u.conj(), v)
+    return v - (scale[..., None] * u)[..., :, None] * uv[..., None, :]
 
 
 def _product_step(bh: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Exact step of a party whose factor of a product state is phi[R].
+    """Exact step of a party whose factor of a product state is phi.
 
-    Every outcome operator is then B[R, a] = g[R, a] |phi><phi| with
-    g = tr B, so the value sum_a g_a |<phi|v_a>|^2 is at most max_a g_a, and
-    it reaches that with phi in the column of the largest g_a (the first on
-    ties).
+    Every outcome operator is then B[a] = g[a] |phi><phi| with g = tr B, so
+    the value sum_a g_a |<phi|v_a>|^2 is at most max_a g_a, and it reaches
+    that with phi in the column of the largest g_a (the first on ties).
     """
-    return _reflect(v, phi, np.argmax(np.einsum("Rapp->Ra", bh).real, axis=1))
+    return _reflect(v, phi, np.argmax(np.einsum("...app->...a", bh).real, axis=-1))
 
 
 def _update(bh, v, phi, product):
-    """Basis step per row: `_product_step` on the rows `product` indexes, else `_basis_update`."""
+    """Basis step of every (row, setting), bh (R, m, d, d, d) and v (R, m, d, d).
+
+    The rows that `product` indexes take `_product_step` with their factor
+    phi[R], the others `_basis_update`.
+    """
     if len(product) == len(v):
-        return _product_step(bh, v, phi)
+        return _product_step(bh, v, phi[:, None])
     new = _basis_update(bh, v)
     if len(product):
-        new[product] = _product_step(bh[product], v[product], phi[product])
+        new[product] = _product_step(bh[product], v[product], phi[product, None])
     return new
 
 
@@ -248,7 +267,7 @@ def _unit(coeffs: np.ndarray) -> float:
 def _ascend(trace: list, val, step: str, unit: float) -> None:
     """Append see-saw values, one per running restart, after checking that `step` lowered none."""
     last = trace[-1]
-    require(np.all(val >= last - 1e-9 * (unit + np.abs(last))), f"see-saw {step} decreased")
+    require((val >= last - 1e-9 * (unit + np.abs(last))).all(), f"see-saw {step} decreased")
     trace.append(val)
 
 
@@ -258,28 +277,23 @@ def _require_on_trace(last, val, unit: float) -> None:
 
 
 def _active_value(b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_a Re <v_a|B[a]|v_a> per restart: the active basis's share of the objective."""
-    return np.einsum("Rpa,Rapq,Rqa->R", v.conj(), b, v).real
+    """sum_a Re <v_a|B[a]|v_a> per basis v (..., d, d): its share of the objective."""
+    return np.einsum("...pa,...apq,...qa->...", v.conj(), b, v).real
 
 
 def _random_basis(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Random start: for a qubit the eigenbasis of u . sigma, +1 first; else a Haar unitary."""
-    if d == 2:
-        x, y, z = rng.standard_normal(3)
-        return np.linalg.eigh(np.array([[z, x - 1j * y], [x + 1j * y, -z]]))[1][:, ::-1]
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    """One random start basis, the one-row case of `algebra.random_bases`."""
+    return algebra.random_bases([rng], d, 1)[0, 0]
 
 
 def _bell_operator(bases, coeffs) -> np.ndarray:
-    """sum_(x,a) w[a, x] |b_xa><b_xa| per restart; on the identity the kernel gives K[R, Q, xa]."""
+    """sum_(x,a) w[a, x] |b_xa><b_xa| per restart; K[R, Q, xa] = prod_i conj(b_i[x_i][q_i, a_i])."""
     n = len(bases)
-    dim = math.prod(coeffs.shape[:n])
-    k = bell.amplitudes(np.eye(dim).reshape((1, *coeffs.shape[:n], dim)), bases)
-    k = k.reshape(k.shape[0], dim, -1)
+    k = np.ones((len(bases[0]), 1, 1))
+    for b in bases:
+        rows, m, d, _ = b.shape
+        g = np.conj(b).transpose(0, 2, 1, 3).reshape(rows, 1, d, 1, m * d)
+        k = (k[:, :, None, :, None] * g).reshape(rows, k.shape[1] * d, -1)
     w = coeffs.transpose([ax for i in range(n) for ax in (n + i, i)]).reshape(-1)
     return (k.conj() * w) @ k.swapaxes(-1, -2)
 
@@ -319,10 +333,7 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, factors, starts):
         psi = np.stack([rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs])
         psi /= np.array([[np.linalg.norm(p)] for p in psi])
     psi_t = psi.reshape(-1, *outcomes)
-    bases = [
-        np.stack([[_random_basis(rng, d) for _ in range(m)] for rng in rngs])
-        for d, m in zip(outcomes, settings)
-    ]
+    bases = [algebra.random_bases(rngs, d, m) for d, m in zip(outcomes, settings)]
     product = np.array([f is not None for f in factors])
     # An entangled row's factor is a placeholder that `_update` never reads.
     phis = [np.array([f[i] if f else np.zeros(d) for f in factors]) for i, d in enumerate(outcomes)]
@@ -331,24 +342,23 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, factors, starts):
             b[r] = _reflect(b[r], phi[r], outs)
     value = _objective(psi_t, bases, coeffs)
     sweeps = [(list(range(len(rngs))), value[:, None].copy())]
-    sub_phis, sub_product = phis, ()
+    blocks = [_coefficient_block(coeffs, i) for i in range(len(bases))]
     iters = np.zeros(len(rngs), dtype=int)
     converged = np.zeros(len(rngs), dtype=bool)
     for it in range(1, MAX_SWEEPS + 1):
         rows = np.flatnonzero(~converged)
         sub = [b[rows] for b in bases]
         sub_t = psi_t if len(psi_t) == 1 else psi_t[rows]
-        if product.any():
-            sub_phis, sub_product = [phi[rows] for phi in phis], np.flatnonzero(product[rows])
+        on = np.flatnonzero(product[rows])
         trace = [value[rows]]
-        for i in range(len(settings)):
-            c = _contractions(sub_t, sub, i)
-            for s in range(settings[i]):
-                env = _environments(c, coeffs, i, s)
-                env = 0.5 * (env + np.conj(env.swapaxes(-1, -2)))
-                old = _active_value(env, sub[i][:, s])
-                sub[i][:, s] = _update(env, sub[i][:, s], sub_phis[i], sub_product)
-                _ascend(trace, trace[-1] + (_active_value(env, sub[i][:, s]) - old), "step", unit)
+        for i, (w, phi) in enumerate(zip(blocks, phis)):
+            env = _environments(_contractions(sub_t, sub, i), w)
+            env = 0.5 * (env + np.conj(env.swapaxes(-1, -2)))
+            old = _active_value(env, sub[i])
+            sub[i] = _update(env, sub[i], phi[rows], on)
+            # One trace entry per setting, as if the settings stepped in turn.
+            for gain in (_active_value(env, sub[i]) - old).T:
+                _ascend(trace, trace[-1] + gain, "step", unit)
         if free_state:
             op = _bell_operator(sub, coeffs)
             vec = sub_t.reshape(len(rows), -1)

@@ -510,9 +510,9 @@ def test_environment_drift_exits_1(monkeypatch, capsys):
 
     real = optimize._environments
 
-    def skewed(c, coeffs, party, setting):
-        b = real(c, coeffs, party, setting)
-        b[0, -1, -1] += 1e-3  # a small Hermitian offset on outcome 0
+    def skewed(c, w):
+        b = real(c, w)
+        b[0, :, -1, -1] += 1e-3  # a small offset on every setting's last outcome, then hermitized
         return b
 
     monkeypatch.setattr(optimize, "_environments", skewed)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicwit import optimize
+from magicwit.algebra import random_bases
 from magicwit.bell import (
     BellInequality,
     behavior_from_state,
@@ -262,27 +263,52 @@ def test_environment_gives_objective_change(outcomes):
         assert abs(before[r] - _objective_by_setting_loop(psi_t[r], rows[r], coeffs)) <= 1e-12
     for i, d in enumerate(outcomes):
         c = optimize._contractions(psi_t, stacks, i)
+        b = optimize._environments(c, optimize._coefficient_block(coeffs, i))
+        assert b.shape == (ROWS, settings[i], d, d, d)
         for s in range(settings[i]):
-            b = optimize._environments(c, coeffs, i, s)
             v = np.stack([_haar_unitary(rng, d) for _ in range(ROWS)])
             moved = [x.copy() for x in stacks]
             moved[i][:, s] = v
             change = optimize._objective(psi_t, moved, coeffs) - before
             for r in range(ROWS):
-                gain = _score(b[r], v[r]) - _score(b[r], rows[r][i][s])
+                gain = _score(b[r, s], v[r]) - _score(b[r, s], rows[r][i][s])
                 assert abs(change[r] - gain) <= 1e-12
         for r in range(ROWS):
             want = _contractions_by_setting_loop(psi_t[r], rows[r], i)
             assert c[r].shape == want.shape and np.max(np.abs(c[r] - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("outcomes", [(2, 2), (3, 3), (2, 3), (2, 2, 2)])
+def test_settings_of_a_party_separate(outcomes):
+    # Moving one of a party's bases leaves every environment of that party
+    # bitwise unchanged, so all its settings can step at once: moving all of
+    # them changes the objective by the sum of their own changes.
+    rng = np.random.default_rng(20 * len(outcomes) + sum(outcomes))
+    settings = (2, 3, 2)[: len(outcomes)]
+    coeffs = rng.uniform(-1.0, 1.0, outcomes + settings)
+    _, stacks = _random_rows(rng, outcomes, settings)
+    psi_t = _random_states(rng, outcomes)
+    before = optimize._objective(psi_t, stacks, coeffs)
+    for i, d in enumerate(outcomes):
+        w = optimize._coefficient_block(coeffs, i)
+        b = optimize._environments(optimize._contractions(psi_t, stacks, i), w)
+        moved = [x.copy() for x in stacks]
+        for s in range(settings[i]):
+            moved[i][:, s] = np.stack([_haar_unitary(rng, d) for _ in range(ROWS)])
+            c = optimize._contractions(psi_t, moved, i)
+            assert np.array_equal(optimize._environments(c, w), b)
+        gains = optimize._active_value(b, moved[i]) - optimize._active_value(b, stacks[i])
+        change = optimize._objective(psi_t, moved, coeffs) - before
+        assert np.max(np.abs(change - gains.sum(axis=1))) <= 1e-12
+
+
 def _skew_environments(monkeypatch):
-    # A small Hermitian offset on outcome 0: steps are valued off the objective.
+    # A small Hermitian offset on outcome 0 of every setting: steps are valued off the objective.
     real = optimize._environments
 
-    def skewed(c, coeffs, party, setting):
-        b = real(c, coeffs, party, setting)
-        b[:, 0, -1, -1] += 1e-3
+    def skewed(c, w):
+        b = real(c, w)
+        b[:, :, 0, -1, -1] += 1e-3
         return b
 
     monkeypatch.setattr(optimize, "_environments", skewed)
@@ -297,6 +323,25 @@ def test_environment_drift_raises_invariant_error(monkeypatch):
         quantum_value(catalog_tilted_chsh(0.5), cfg)
     with pytest.raises(InvariantError, match="see-saw trace drifted from the objective"):
         quantum_value(catalog_cglmp(3), cfg)
+
+
+@pytest.mark.parametrize("free_state", [False, True])
+@pytest.mark.parametrize(
+    "ineq", [catalog_tilted_chsh(0.5), catalog_cglmp(3), catalog_svetlichny_r2()], ids=lambda q: q.name
+)
+def test_environment_calls_per_sweep(monkeypatch, ineq, free_state):
+    # One environment build per party per sweep, however many settings it has
+    # and however many rows still run.
+    calls = []
+    real = optimize._environments
+    monkeypatch.setattr(optimize, "_environments", lambda *a: calls.append(1) or real(*a))
+    dim = int(np.prod(ineq.outcomes))
+    psi = None if free_state else np.ones(dim, dtype=complex) / np.sqrt(dim)
+    seeds = np.random.SeedSequence(3).spawn(ROWS)
+    args = ineq.coeffs, ineq.outcomes, ineq.settings, psi, seeds, [None] * ROWS, [None] * ROWS
+    iters = optimize._restarts(*args)[3]
+    assert iters.max() > 1
+    assert len(calls) == ineq.parties * iters.max()
 
 
 @pytest.mark.parametrize("free_state", [False, True])
@@ -481,6 +526,35 @@ def test_qubit_draw_matches_bloch_oracle():
             assert np.max(np.abs(_top_projector(g) - _top_projector(want))) <= 1e-12
             # Both consumed exactly three normals, so every later draw agrees too.
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _single_draw(rng, d):
+    """One start basis drawn on its own: eigh of u . sigma for a qubit, else a phase-fixed QR."""
+    if d == 2:
+        x, y, z = rng.standard_normal(3)
+        return np.linalg.eigh(np.array([[z, x - 1j * y], [x + 1j * y, -z]]))[1][:, ::-1]
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    ph = np.diag(r).copy()
+    ph /= np.abs(ph)
+    return q * ph
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_batched_draw_is_the_single_draw_in_turn(d):
+    # Each generator's row holds, bitwise, the bases that one draw after
+    # another gives, and leaves the generator where they leave it.
+    m = 3
+    rngs = [np.random.default_rng(s) for s in range(ROWS)]
+    refs = [np.random.default_rng(s) for s in range(ROWS)]
+    got = random_bases(rngs, d, m)
+    assert got.shape == (ROWS, m, d, d)
+    for row, rng, ref in zip(got, rngs, refs):
+        assert np.array_equal(row, np.stack([_single_draw(ref, d) for _ in range(m)]))
+        assert rng.bit_generator.state == ref.bit_generator.state
+    rng, ref = np.random.default_rng(ROWS), np.random.default_rng(ROWS)
+    assert np.array_equal(optimize._random_basis(rng, d), _single_draw(ref, d))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_top_eigvec_breaks_degenerate_ties_on_first_component():
