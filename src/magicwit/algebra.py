@@ -3,8 +3,8 @@
 Everything downstream works with explicit complex matrices.  At this scale
 (single-site dimension at most 7, full registers below a hundred amplitudes)
 dense numpy arrays are the simplest correct representation; no sparse or
-tableau machinery is used.  The random orthonormal bases that start the
-see-saw are drawn here too.
+tableau machinery is used.  The see-saw's random start bases and its
+state step's leading eigenvector are computed here too.
 """
 
 from __future__ import annotations
@@ -63,6 +63,18 @@ def is_unitary(m: np.ndarray) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-8)
+
+
+def top_eigvec(op: np.ndarray) -> np.ndarray:
+    """Leading eigenvector of the Hermitian part of each op (R, n, n).
+
+    Among eigenvalues within 1e-12 of the top, the vector with the largest
+    |first component| wins, the lowest index on ties.
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (op + op.conj().swapaxes(-1, -2)))
+    score = np.where(vals >= vals[:, -1:] - 1e-12, np.abs(vecs[:, 0, :]), -1.0)
+    best = np.argmax(score, axis=1)
+    return np.ascontiguousarray(np.take_along_axis(vecs, best[:, None, None], axis=2)[..., 0])
 
 
 def random_bases(rngs, d: int, m: int) -> np.ndarray:

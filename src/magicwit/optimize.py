@@ -140,8 +140,9 @@ SEESAW_REGISTER_LIMIT = 1 << 24
 def _objective(psi_t, bases, coeffs) -> np.ndarray:
     """Bell value per restart; psi_t is (R or 1, d_1..d_n), bases[i] is (R, m_i, d_i, d_i)."""
     n = len(bases)
-    amp = bell.amplitudes(psi_t, bases)
-    probs = np.abs(amp.transpose([0, *range(2, 2 * n + 1, 2), *range(1, 2 * n, 2)])) ** 2
+    axes = [0, *range(2, 2 * n + 1, 2), *range(1, 2 * n, 2)]
+    # The amplitudes are freed as soon as their moduli are taken.
+    probs = np.abs(bell.amplitudes(psi_t, bases).transpose(axes)) ** 2
     return np.sum(coeffs * probs, axis=tuple(range(1, 2 * n + 1)))
 
 
@@ -163,15 +164,16 @@ def _contractions(psi_t, bases, party) -> np.ndarray:
 
 
 def _coefficient_block(coeffs, party) -> np.ndarray:
-    """The party's coefficients w[(s, a), (r, x)]: the others' outcomes r, then their settings x.
+    """The party's coefficients w[(s, a), (x, r)]: the others' settings x, then their outcomes r.
 
     Complex, so that `_environments` multiplies with the complex matmul of
     every other see-saw contraction: a real one pulls further BLAS code
     into memory.
     """
     n = coeffs.ndim // 2
-    m, d = coeffs.shape[n + party], coeffs.shape[party]
-    return np.moveaxis(coeffs, (n + party, party), (0, 1)).reshape(m * d, -1).astype(complex)
+    others = [j for j in range(n) if j != party]
+    w = coeffs.transpose(n + party, party, *(n + j for j in others), *others)
+    return w.reshape(coeffs.shape[n + party] * coeffs.shape[party], -1).astype(complex)
 
 
 def _environments(c, w) -> np.ndarray:
@@ -185,11 +187,13 @@ def _environments(c, w) -> np.ndarray:
     values the steps that way and checks their sum against the Born rule.
     """
     rows, nx, nr, d = c.shape
-    # With (r, x) in front, one matmul over it serves every row.
-    c = c.transpose(2, 1, 0, 3).reshape(nr * nx, rows, d)
-    outer = c[..., :, None] * c[..., None, :].conj()
-    b = (w @ outer.reshape(nr * nx, -1)).reshape(-1, rows, d, d)
-    return b.swapaxes(0, 1).reshape(rows, -1, d, d, d)
+    c = c.reshape(rows, nx * nr, d)
+    # One matmul per row over the flattened (x, r) axis: no array is transposed,
+    # and the outer products are formed in place, with no conjugated copy of c.
+    outer = np.conjugate(np.broadcast_to(c[..., None, :], (*c.shape, d)))
+    outer *= c[..., :, None]
+    b = w @ outer.reshape(rows, nx * nr, d * d)
+    return b.reshape(rows, -1, d, d, d)
 
 
 def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -298,14 +302,6 @@ def _bell_operator(bases, coeffs) -> np.ndarray:
     return (k.conj() * w) @ k.swapaxes(-1, -2)
 
 
-def _top_eigvec(op: np.ndarray) -> np.ndarray:
-    """Leading eigenvector per restart; degenerate tops break ties on |first component|."""
-    vals, vecs = np.linalg.eigh(0.5 * (op + op.conj().swapaxes(-1, -2)))
-    score = np.where(vals >= vals[:, -1:] - 1e-12, np.abs(vecs[:, 0, :]), -1.0)
-    best = np.argmax(score, axis=1)
-    return np.ascontiguousarray(np.take_along_axis(vecs, best[:, None, None], axis=2)[..., 0])
-
-
 def _restarts(coeffs, outcomes, settings, psi, seeds, factors, starts):
     """One see-saw per seed, each restart a row of one batch.
 
@@ -364,7 +360,7 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, factors, starts):
             vec = sub_t.reshape(len(rows), -1)
             # The state step re-anchors the trace, so check the sweep's first.
             _require_on_trace(trace[-1], np.einsum("Rp,Rpq,Rq->R", vec.conj(), op, vec).real, unit)
-            psi_t[rows] = sub_t = _top_eigvec(op).reshape(sub_t.shape)
+            psi_t[rows] = sub_t = algebra.top_eigvec(op).reshape(sub_t.shape)
             _ascend(trace, _objective(sub_t, sub, coeffs), "state step", unit)
         for b, new in zip(bases, sub):
             b[rows] = new
@@ -487,8 +483,9 @@ def stabilizer_value(
     d-outcome projective measurements act on C^d, so the register is pinned
     party by party to the outcome counts.  Optimizes the measurements on one
     graph-state representative per local class (direct sums of per-cluster
-    orbit representatives) and returns the best, together with the
-    achieving class and the per-class values.
+    orbit representatives) and returns the best (the first of classes whose
+    values agree within 1e-12), together with the achieving class and the
+    per-class values.
     """
     family = graphs.cluster_representatives(ineq.outcomes)
     classes = list(family.assignments())
@@ -498,7 +495,10 @@ def stabilizer_value(
         for a, seed in zip(classes, seeds)
     ]
     class_values = tuple(rep.value for rep in reports)
-    best = int(np.argmax(class_values))
+    values = np.array(class_values)
+    # Each class is its own see-saw, so classes that reach one value can differ
+    # in rounding alone: within 1e-12 `_unit`s they tie, and the first wins.
+    best = int(np.argmax(values >= values.max() - 1e-12 * _unit(ineq.coeffs)))
     label = " (+) ".join(f"d={a.d} edges={a.edges() or '-'}" for a in classes[best])
     return replace(
         reports[best],
