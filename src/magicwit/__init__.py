@@ -8,10 +8,8 @@ without trusting the devices, up to local unitaries.
 """
 
 from magicwit.algebra import (
-    clock_matrix,
     is_prime,
     is_unitary,
-    kron,
     shift_matrix,
 )
 from magicwit.bell import (
@@ -46,11 +44,6 @@ from magicwit.states import (
     GraphState,
     assemble_cluster_state,
     build_graph_state,
-    build_graph_state_by_gates,
-    cp_gate,
-    plus_state,
-    reduced_purity,
-    stabilizer_generators,
     w_state,
 )
 

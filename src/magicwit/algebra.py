@@ -1,15 +1,13 @@
-"""Prime fields and the dense operator algebra of generalized Pauli matrices.
+"""Prime fields, the generalized shift and the see-saw's dense linear algebra.
 
-Everything downstream works with explicit complex matrices.  At this scale
-(single-site dimension at most 7, full registers below a hundred amplitudes)
-dense numpy arrays are the simplest correct representation; no sparse or
-tableau machinery is used.  The see-saw's random start bases and its
-state step's leading eigenvector are computed here too.
+At this scale (single-site dimension at most 7, full registers below a
+hundred amplitudes) dense numpy arrays are the simplest correct
+representation; no sparse or tableau machinery is used.  The see-saw's
+random start bases and its state step's leading eigenvector are computed
+here.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,22 +37,6 @@ def shift_matrix(d: int) -> np.ndarray:
     m = np.zeros((d, d), dtype=complex)
     m[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
     return m
-
-
-def clock_matrix(d: int) -> np.ndarray:
-    """Generalized Z on C^d: Z|j> = omega^j |j>."""
-    require_prime(d)
-    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-
-
-def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product in party order (site 1 varies slowest)."""
-    if len(mats) == 0:
-        raise ValueError("kron needs at least one factor")
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
 
 
 def is_unitary(m: np.ndarray) -> bool:

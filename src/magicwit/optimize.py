@@ -98,7 +98,7 @@ class OptimizationReport:
     it is not the best.  In a stabilizer report all of these, and `trace`,
     belong to the winning class only: the restarts of the other classes,
     unconverged ones included, do not show.  The planned `--report` run
-    report (ROADMAP item 4) is to carry every class.
+    report (ROADMAP item 7) is to carry every class.
 
     `class_values` (stabilizer reports only) holds the best value found per
     graph-state class at the configured restarts.  The product class's entry
@@ -268,6 +268,11 @@ def _unit(coeffs: np.ndarray) -> float:
     return m / min(max(m, 1.0), 2.0) if m > 0.0 else 1.0
 
 
+def _first_best(values: np.ndarray, unit: float) -> int:
+    """Index of the first value within 1e-12 `unit`s of the largest; rounding alone ranks none."""
+    return int(np.argmax(values >= values.max() - 1e-12 * unit))
+
+
 def _ascend(trace: list, val, step: str, unit: float) -> None:
     """Append see-saw values, one per running restart, after checking that `step` lowered none."""
     last = trace[-1]
@@ -404,8 +409,8 @@ def _best_of_restarts(ineq, jobs, cfg, state_label) -> Iterator[OptimizationRepo
     restarts are spawned from; jobs are all free or all fixed.  The (job,
     restart) rows run in order, in batches of at most `SEESAW_BUDGET`
     entries of K that span jobs, each built when it runs.  A job's report is
-    yielded once its last restart is done.  The best is the highest final
-    value, the lowest restart index on ties.
+    yielded once its last restart is done.  The best is the first restart
+    whose final value is within 1e-12 `_unit`s of the highest.
     """
     entries = math.prod(ineq.outcomes) ** 2 * math.prod(ineq.settings)
     if entries > SEESAW_REGISTER_LIMIT:
@@ -415,7 +420,7 @@ def _best_of_restarts(ineq, jobs, cfg, state_label) -> Iterator[OptimizationRepo
         )
     size = max(1, SEESAW_BUDGET // entries)
     stream = _rows(ineq, jobs, cfg.restarts)
-    tol = 1e-8 * _unit(ineq.coeffs)
+    unit = _unit(ineq.coeffs)
     done = []  # (run, row, state) of the job's restarts so far
     while batch := list(itertools.islice(stream, size)):
         psis, factors, starts, seeds = zip(*batch)
@@ -428,12 +433,15 @@ def _best_of_restarts(ineq, jobs, cfg, state_label) -> Iterator[OptimizationRepo
             vals, iters, converged = (
                 np.array([out[i][row] for out, row, _ in done]) for i in (0, 3, 4)
             )
-            best = int(np.argmax(vals))
+            best = _first_best(vals, unit)
             (_, bases, sweeps, _, _, psi_t), k, state = done[best]
             state = psi_t[k].reshape(-1) if state is None else state
             measurements = tuple(tuple(b[k]) for b in bases)
             reval = bell.evaluate(ineq, bell.behavior_from_state(state, measurements))
-            require(abs(reval - vals[best]) <= tol, "re-evaluation drifted from the see-saw value")
+            require(
+                abs(reval - vals[best]) <= 1e-8 * unit,
+                "re-evaluation drifted from the see-saw value",
+            )
             # Row k ran the first iters[best] sweeps, each after its start value.
             trace = [x for ran, t in sweeps[: iters[best] + 1] for x in t[ran.index(k)].tolist()]
             yield OptimizationReport(
@@ -495,10 +503,7 @@ def stabilizer_value(
         for a, seed in zip(classes, seeds)
     ]
     class_values = tuple(rep.value for rep in reports)
-    values = np.array(class_values)
-    # Each class is its own see-saw, so classes that reach one value can differ
-    # in rounding alone: within 1e-12 `_unit`s they tie, and the first wins.
-    best = int(np.argmax(values >= values.max() - 1e-12 * _unit(ineq.coeffs)))
+    best = _first_best(np.array(class_values), _unit(ineq.coeffs))
     label = " (+) ".join(f"d={a.d} edges={a.edges() or '-'}" for a in classes[best])
     return replace(
         reports[best],

@@ -1,9 +1,10 @@
-"""Graph states, their stabilizer generators, the W family, and simple state functionals.
+"""Graph states, the W family, cluster-state assembly and product-state detection.
 
-Two independent construction paths are kept on purpose: the closed-form
-phase polynomial (`build_graph_state`) and explicit controlled-phase gate
-application (`build_graph_state_by_gates`).  They serve as mutual oracles
-in the test suite.
+A graph state is built from its closed-form phase polynomial
+(`build_graph_state`).  The pipeline's stabilizer states are
+`assemble_cluster_state`'s products of per-cluster graph states; the
+`stabilizer-count-formula` check of `magicwit.verify` shows each one fixed by
+its generators.
 """
 
 from __future__ import annotations
@@ -13,21 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from magicwit.algebra import clock_matrix, kron, require_prime, shift_matrix
 from magicwit.graphs import AdjacencyMatrix, ClusterFamily
-
-
-def plus_state(d: int) -> np.ndarray:
-    """Uniform superposition, the +1 eigenstate of the shift operator."""
-    require_prime(d)
-    return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
-
-
-def cp_gate(d: int) -> np.ndarray:
-    """Two-site controlled phase: diagonal with entries omega^(j*k)."""
-    require_prime(d)
-    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return np.diag(np.exp(2j * np.pi * (j * k).ravel() / d))
 
 
 @dataclass(frozen=True)
@@ -66,68 +53,6 @@ def build_graph_state(a: AdjacencyMatrix) -> GraphState:
                 expo += w * grids[i] * grids[j]
     amps = np.exp(2j * np.pi * (expo % d) / d).ravel() / d ** (n / 2)
     return GraphState(dims=(d,) * n, amplitudes=amps, source=a)
-
-
-def build_graph_state_by_gates(a: AdjacencyMatrix) -> GraphState:
-    """Graph state of `a` by explicit gate application (slow oracle path).
-
-    Starts from a product of plus states and applies the controlled-phase
-    matrix power for every edge, without using the closed form above.
-    """
-    d, n = a.d, a.n
-    psi = plus_state(d)
-    for _ in range(n - 1):
-        psi = np.kron(psi, plus_state(d))
-    psi = psi.reshape((d,) * n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = int(a.entries[i, j])
-            if w == 0:
-                continue
-            gate = np.linalg.matrix_power(cp_gate(d), w).reshape(d, d, d, d)
-            psi = np.tensordot(gate, psi, axes=([2, 3], [i, j]))
-            # tensordot leaves the two output axes in front; restore site order
-            psi = np.moveaxis(psi, (0, 1), (i, j))
-    return GraphState(dims=(d,) * n, amplitudes=psi.ravel(), source=a)
-
-
-def stabilizer_generators(a: AdjacencyMatrix) -> list[np.ndarray]:
-    """Dense generators fixing the graph state: a shift at vertex i, clocks on its edges.
-
-    With the conventions X|j> = |j+1>, Z|j> = omega^j |j> and
-    CP = sum_j |j><j| (x) Z^j used throughout, generator i is
-    X_i * prod_j Z_j^(A_ij); each one fixes build_graph_state(a).
-    """
-    d, n = a.d, a.n
-    x = shift_matrix(d)
-    z = clock_matrix(d)
-    eye = np.eye(d, dtype=complex)
-    gens = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == i:
-                row.append(x)
-            else:
-                w = int(a.entries[i, j])
-                row.append(np.linalg.matrix_power(z, w) if w else eye)
-        gens.append(kron(row))
-    return gens
-
-
-def reduced_purity(state: GraphState, keep: Sequence[int]) -> float:
-    """tr(rho^2) of the reduced state on the `keep` sites."""
-    dims = state.dims
-    n = len(dims)
-    keep = tuple(sorted(set(int(k) for k in keep)))
-    if not keep or len(keep) == n or any(k < 0 or k >= n for k in keep):
-        raise ValueError("keep must be a non-empty strict subset of sites")
-    t = state.amplitudes.reshape(dims)
-    drop = [i for i in range(n) if i not in keep]
-    rho = np.tensordot(t, t.conj(), axes=(drop, drop))
-    k = int(np.prod([dims[i] for i in keep]))
-    rho = rho.reshape(k, k)
-    return float(np.real(np.einsum("ij,ji->", rho, rho)))
 
 
 def _product_factors(psi_t: np.ndarray) -> list[np.ndarray] | None:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from magicwit.algebra import clock_matrix, is_prime, is_unitary, kron, shift_matrix
+from magicwit.algebra import is_prime, is_unitary, shift_matrix
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 # Max-abs entrywise tolerance for the exact identities of the Weyl algebra.
@@ -14,6 +15,21 @@ TOL_MAT = 1e-10
 
 def omega(d):
     return np.exp(2j * np.pi / d)
+
+
+# Dense oracles, kept here: the package has no clock matrix or Kronecker
+# helper, and `magicwit.verify` applies graph-state generators by index
+# arithmetic.  tests/test_states.py builds its dense generators from them.
+
+
+def clock_matrix(d):
+    """Generalized Z on C^d: Z|j> = omega^j |j>."""
+    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+
+
+def kron(mats):
+    """Kronecker product in party order (site 1 varies slowest)."""
+    return functools.reduce(np.kron, [np.asarray(m, dtype=complex) for m in mats])
 
 
 def test_is_prime_small_values():
@@ -99,11 +115,6 @@ def test_kron_basis_action():
     want = np.zeros(4)
     want[2] = 1  # |00> -> |10>
     assert np.allclose(out, want)
-
-
-def test_kron_empty_rejected():
-    with pytest.raises(ValueError):
-        kron([])
 
 
 @given(

@@ -123,6 +123,30 @@ def test_classes_that_tie_to_rounding_report_the_first(monkeypatch):
     assert rep.best_class == classes[top[0]] and rep.value == values[top[0]]
     assert rep.trace == seen[top[0]].trace
 
+    # Restarts tie by the same rule.  At these seeds every restart of tilted
+    # CHSH's winning class ends within 3e-15 of 2 sqrt 2, the exact argmax
+    # falls on restart 3, 1 and 2, and the report is restart 0's: the one
+    # run alone from the class's first restart seed.
+    monkeypatch.undo()
+    ineq = catalog_tilted_chsh(0.5)
+    family = cluster_representatives(ineq.outcomes)
+    classes = list(family.assignments())
+    for seed in (3, 5, 11):
+        rep = stabilizer_value(ineq, OptimizerConfig(restarts=8, seed=seed))
+        assert max(rep.restart_values) - min(rep.restart_values) <= 3e-15
+        assert int(np.argmax(rep.restart_values)) > 0
+        k = classes.index(rep.best_class)
+        first = optimize_measurements(
+            ineq,
+            assemble_cluster_state(family, classes[k]),
+            OptimizerConfig(restarts=1, seed=seed),
+            _seed_seq=np.random.SeedSequence(seed).spawn(len(classes))[k],
+        )
+        assert rep.trace == first.trace
+        assert rep.iterations == rep.restart_iterations[0] == first.iterations
+        for ours, theirs in zip(rep.measurements, first.measurements):
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
 
 def test_measurements_are_qubit_observables():
     rep = optimize_measurements(catalog_tilted_chsh(0.0), edge_state(), CFG)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from test_algebra import clock_matrix, kron
 
-from magicwit.algebra import kron
+from magicwit import verify
+from magicwit.algebra import shift_matrix
 from magicwit.graphs import (
     AdjacencyMatrix,
     cluster_representatives,
@@ -11,12 +15,53 @@ from magicwit.states import (
     GraphState,
     assemble_cluster_state,
     build_graph_state,
-    build_graph_state_by_gates,
-    cp_gate,
-    plus_state,
-    reduced_purity,
-    stabilizer_generators,
 )
+
+# Test-local oracles, each built apart from the package's closed form and its
+# index-arithmetic generators: a gate-by-gate construction, dense generator
+# matrices and the purity of a reduced state.
+
+
+def plus_state(d):
+    """Uniform superposition, the +1 eigenstate of the shift operator."""
+    return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
+
+
+def cp_gate(d):
+    """Two-site controlled phase: diagonal with entries omega^(j*k)."""
+    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    return np.diag(np.exp(2j * np.pi * (j * k).ravel() / d))
+
+
+def build_graph_state_by_gates(a):
+    """Graph state of `a`: a product of plus states, then a controlled-phase power per edge."""
+    d, n = a.d, a.n
+    psi = kron([plus_state(d)] * n).reshape((d,) * n)
+    for i, j, w in a.edges():
+        gate = np.linalg.matrix_power(cp_gate(d), w).reshape(d, d, d, d)
+        # tensordot leaves the two output axes in front; restore site order
+        psi = np.moveaxis(np.tensordot(gate, psi, axes=([2, 3], [i, j])), (0, 1), (i, j))
+    return GraphState(dims=(d,) * n, amplitudes=psi.ravel(), source=a)
+
+
+def stabilizer_generators(a):
+    """Dense generators X_i prod_j Z_j^(A_ij), one per vertex i, each fixing the graph state."""
+    x, z = shift_matrix(a.d), clock_matrix(a.d)
+    gens = []
+    for i in range(a.n):
+        row = [np.linalg.matrix_power(z, w) for w in a.entries[i]]
+        row[i] = x
+        gens.append(kron(row))
+    return gens
+
+
+def reduced_purity(state, keep):
+    """tr(rho^2) of the reduced state on the sorted `keep` sites."""
+    t = state.amplitudes.reshape(state.dims)
+    drop = [i for i in range(len(state.dims)) if i not in keep]
+    k = math.prod(state.dims[i] for i in keep)
+    rho = np.tensordot(t, t.conj(), axes=(drop, drop)).reshape(k, k)
+    return float(np.real(np.einsum("ij,ji->", rho, rho)))
 
 
 def adj(d, n, edges):
@@ -123,6 +168,19 @@ def test_generators_fix_graph_states(n, d):
             assert np.max(np.abs(order - np.eye(d**n))) <= 1e-9
 
 
+def test_dense_generators_match_index_arithmetic_on_random_qutrit_graphs():
+    # verify's fixed-point check applies each generator as a roll and clock
+    # phases; on any vector it must equal the dense matrix.
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            g = random_adjacency(rng, n, 3)
+            psi = rng.standard_normal(3**n) + 1j * rng.standard_normal(3**n)
+            for i, mat in enumerate(stabilizer_generators(g)):
+                image = verify._generator_image(psi.reshape((3,) * n), g, tuple(range(n)), i)
+                assert np.max(np.abs(image.ravel() - mat @ psi)) <= 1e-12
+
+
 def test_tensor_split_of_direct_sums():
     # A block-diagonal graph's state is the kron of its blocks' states, which
     # assemble_cluster_state relies on.
@@ -148,15 +206,6 @@ def test_reduced_purity_product_state():
     psi = GraphState(dims=(2, 2), amplitudes=np.kron(np.array([1.0, 0.0]), plus_state(2)))
     for site in (0, 1):
         assert reduced_purity(psi, [site]) == pytest.approx(1.0)
-
-
-def test_reduced_purity_guards():
-    with pytest.raises(ValueError):
-        reduced_purity(BELL_PAIR, [])
-    with pytest.raises(ValueError):
-        reduced_purity(BELL_PAIR, [0, 1])
-    with pytest.raises(ValueError):
-        reduced_purity(BELL_PAIR, [2])
 
 
 def test_cluster_states_have_unit_purity_across_dimension_split():
