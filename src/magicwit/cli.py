@@ -33,22 +33,14 @@ MAX_COEFFICIENTS = 1 << 24
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=64, help="see-saw restarts (default 64)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    default = optimize.OptimizerConfig()
+    for flag, what in (("restarts", "see-saw restarts"), ("seed", "RNG seed")):
+        value = getattr(default, flag)
+        p.add_argument(f"--{flag}", type=int, default=value, help=f"{what} (default {value})")
 
 
 def _config(args) -> optimize.OptimizerConfig:
     return optimize.OptimizerConfig(restarts=args.restarts, seed=args.seed)
-
-
-def _emit_manifest(command: str, extra: dict, wall: float) -> None:
-    manifest = {
-        "command": command,
-        "version": magicwit.__version__,
-        "wall_time_s": round(wall, 3),
-        **extra,
-    }
-    print("manifest: " + json.dumps(manifest, sort_keys=True), file=sys.stderr)
 
 
 def _cfg_echo(cfg: optimize.OptimizerConfig) -> dict:
@@ -143,8 +135,7 @@ def _resolve_inequality(args) -> bell.BellInequality:
     return load_inequality_file(spec)
 
 
-def cmd_classes(args) -> int:
-    t0 = time.perf_counter()
+def cmd_classes(args) -> tuple[int, dict]:
     cat = graphs.enumerate_classes(args.n, args.d)
     if args.json:
         payload = {
@@ -163,12 +154,10 @@ def cmd_classes(args) -> int:
         for i, (rep, size) in enumerate(zip(cat.representatives, cat.orbit_sizes)):
             edges = " ".join(f"{a}-{b}:{w}" for a, b, w in rep.edges()) or "(no edges)"
             print(f"class {i}  size {size}  edges {edges}")
-    _emit_manifest("classes", {"n": args.n, "d": args.d}, time.perf_counter() - t0)
-    return EXIT_OK
+    return EXIT_OK, {"n": args.n, "d": args.d}
 
 
-def cmd_bounds(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bounds(args) -> tuple[int, dict]:
     ineq = _resolve_inequality(args)
     cfg = _config(args)
     out: dict = {"name": ineq.name}
@@ -183,12 +172,10 @@ def cmd_bounds(args) -> int:
         out["gap"] = out["quantum"] - out["stabilizer"]
     out["manifest"] = {"command": "bounds", "version": magicwit.__version__, **_cfg_echo(cfg)}
     print(json.dumps(out, sort_keys=True, indent=2))
-    _emit_manifest("bounds", _cfg_echo(cfg), time.perf_counter() - t0)
-    return EXIT_OK
+    return EXIT_OK, _cfg_echo(cfg)
 
 
-def cmd_scan(args) -> int:
-    t0 = time.perf_counter()
+def cmd_scan(args) -> tuple[int, dict]:
     if args.family != "tilted-chsh":
         raise ValueError(f"unknown scan family {args.family!r} (available: tilted-chsh)")
     if not args.step > 0:
@@ -208,14 +195,10 @@ def cmd_scan(args) -> int:
     print("param,local,stab,quantum,gap")
     for r in rows:
         print(f"{r.param:.10g},{r.local:.10g},{r.stabilizer:.10g},{r.quantum:.10g},{r.gap:.10g}")
-    _emit_manifest(
-        "scan", {"family": args.family, "rows": len(rows), **_cfg_echo(cfg)}, time.perf_counter() - t0
-    )
-    return EXIT_OK
+    return EXIT_OK, {"family": args.family, "rows": len(rows), **_cfg_echo(cfg)}
 
 
-def cmd_heatmap(args) -> int:
-    t0 = time.perf_counter()
+def cmd_heatmap(args) -> tuple[int, dict]:
     if args.theta_steps < 2 or args.phi_steps < 2:
         raise ValueError("grid sizes must be at least 2")
     _require_grid(args.theta_steps * args.phi_steps)
@@ -227,24 +210,19 @@ def cmd_heatmap(args) -> int:
     for i, t in enumerate(thetas):
         for j, p in enumerate(phis):
             print(f"{t / np.pi:.10g},{p / np.pi:.10g},{heat[i, j]:.10g}")
-    _emit_manifest(
-        "heatmap",
-        {"theta_steps": args.theta_steps, "phi_steps": args.phi_steps, **_cfg_echo(cfg)},
-        time.perf_counter() - t0,
-    )
-    return EXIT_OK
+    return EXIT_OK, {"theta_steps": args.theta_steps, "phi_steps": args.phi_steps, **_cfg_echo(cfg)}
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    results = verify.run_checks(quick=args.quick)
-    failed = [r for r in results if not r.ok]
-    for r in results:
+def cmd_verify(args) -> tuple[int, dict]:
+    checks = [c for c in verify.CHECKS if c.quick or not args.quick]
+    failed = 0
+    for check in checks:
+        r = check.run()
+        failed += not r.ok
         status = "PASS" if r.ok else "FAIL"
-        print(f"[{status}] {r.name:28s} ({r.seconds:7.2f}s)  {r.detail}")
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    _emit_manifest("verify", {"quick": args.quick, "failed": len(failed)}, time.perf_counter() - t0)
-    return EXIT_OK if not failed else EXIT_VERIFY
+        print(f"[{status}] {r.name:28s} ({r.seconds:7.2f}s)  {r.detail}", flush=True)
+    print(f"{len(checks) - failed}/{len(checks)} checks passed")
+    return (EXIT_VERIFY if failed else EXIT_OK), {"quick": args.quick, "failed": failed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        code, extra = args.fn(args)
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -306,6 +285,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
+    wall = round(time.perf_counter() - t0, 3)
+    manifest = dict(command=args.command, version=magicwit.__version__, wall_time_s=wall, **extra)
+    print("manifest: " + json.dumps(manifest, sort_keys=True), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

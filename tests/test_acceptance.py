@@ -2,13 +2,14 @@
 
 Each check of the package lives in magicwit.verify so the CLI's `verify`
 subcommand and this module exercise exactly the same assertions, with all
-tolerances and runtime limits pinned inside the checks.  Three more checks
-run here only: they compare the package's graph states with the test-local
-oracles of test_states (gate construction, dense generators, reduced purity),
-which the package itself does not ship.  Run with -v to get one pass/fail
-line per check.
+tolerances pinned inside the checks and the time limits in `verify.CHECKS`.
+Three more checks run here only: they compare the package's graph states
+with the test-local oracles of test_states (gate construction, dense
+generators, reduced purity), which the package itself does not ship.  Run
+with -v to get one pass/fail line per check.
 """
 
+import math
 import subprocess
 import sys
 
@@ -73,9 +74,17 @@ ORACLE_CHECKS = (
 
 @pytest.mark.parametrize("check", verify.CHECKS + ORACLE_CHECKS, ids=lambda c: c.name)
 def test_acceptance(check):
-    detail = check.fn()
-    assert detail
-    print(f"[{check.name}] {detail}")
+    # Through `run`, so a check that passes but reaches its time limit fails here too.
+    result = check.run()
+    assert result.ok, result.detail
+    assert result.detail
+    print(f"[{check.name}] ({result.seconds:.2f}s) {result.detail}")
+
+
+def test_a_check_that_reaches_its_limit_fails():
+    result = verify.Check("slow", True, lambda: "ok", 0.0).run()
+    assert not result.ok
+    assert result.detail.startswith("took ") and result.detail.endswith(", limit 0s")
 
 
 def test_every_check_is_registered_once():
@@ -85,6 +94,14 @@ def test_every_check_is_registered_once():
     quick = [c.name for c in verify.CHECKS if c.quick]
     assert "orbit-counts" in quick and "cglmp-table" not in quick
     assert "stabilizer-count-formula" in quick
+    limits = {c.name: c.limit for c in verify.CHECKS if c.limit < math.inf}
+    assert limits == {
+        "orbit-counts": 1.0,
+        "stabilizer-count-formula": 60.0,
+        "tilted-chsh-curve": 60.0,
+        "cglmp-table": 600.0,
+        "tripartite-witness": 300.0,
+    }
 
 
 def test_fault_injection_is_caught(monkeypatch):
@@ -141,15 +158,16 @@ def corrupted(n, d):
 
 verify.graphs.enumerate_classes = corrupted
 print(next(c for c in verify.CHECKS if c.name == "orbit-counts").run().ok)
+print(verify.Check("slow", True, lambda: "ok", 0.0).run().ok)
 """
 
 
 def test_fault_injection_is_caught_under_python_O():
-    # `python -O` strips assert statements; the checks must still fail.
+    # `python -O` strips assert statements; the checks and the time limits must still fail.
     out = subprocess.run(
         [sys.executable, "-O", "-c", FAULT_UNDER_O],
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magicwit
+from magicwit import verify
 from magicwit.bell import BellInequality, catalog_tilted_chsh, local_bound
-from magicwit.cli import load_inequality_file, main
+from magicwit.cli import _config, build_parser, load_inequality_file, main
+from magicwit.optimize import OptimizerConfig
 
 FAST = ["--restarts", "8", "--seed", "3"]
 
@@ -158,21 +161,50 @@ def test_stopping_rule_flags_are_gone(capsys, argv, flag):
     assert flag in captured.err
 
 
+# Each command's manifest keys beyond command, version and wall_time_s, for the runs below.
+MANIFEST_EXTRAS = {
+    "scan": {"family": "tilted-chsh", "rows": 3, "restarts": 8, "seed": 3, "tol": 1e-09},
+    "heatmap": {"theta_steps": 2, "phi_steps": 2, "restarts": 8, "seed": 3, "tol": 1e-09},
+    "bounds": {"restarts": 8, "seed": 3, "tol": 1e-09},
+    "classes": {"n": 3, "d": 2},
+    "verify": {"quick": True, "failed": 0},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["scan", "tilted-chsh", "--step", "1", *FAST],
         ["heatmap", "--theta-steps", "2", "--phi-steps", "2", *FAST],
+        ["bounds", "cglmp", "--which", "local", *FAST],
+        ["classes", "3", "2"],
+        ["verify", "--quick"],
     ],
 )
-def test_grid_manifests_echo_the_stopping_tolerance(capsys, argv):
-    # The goldens pin stdout only; the stderr manifest must still carry the
-    # tolerance that `bounds` echoes in its payload.
+def test_grid_manifests_echo_the_stopping_tolerance(monkeypatch, capsys, argv):
+    # The goldens pin stdout only; the one stderr line is the manifest, and
+    # every see-saw command echoes the tolerance that `bounds` echoes in its payload.
+    monkeypatch.setattr(verify, "CHECKS", (verify.Check("stub", True, lambda: "ok"),))
     assert main(argv) == 0
     (line,) = capsys.readouterr().err.splitlines()
     manifest = json.loads(line.removeprefix("manifest: "))
-    assert manifest["tol"] == 1e-09
-    assert (manifest["restarts"], manifest["seed"]) == (8, 3)
+    assert manifest.pop("wall_time_s") >= 0.0
+    extra = MANIFEST_EXTRAS[argv[0]]
+    assert manifest == {"command": argv[0], "version": magicwit.__version__, **extra}
+
+
+@pytest.mark.parametrize("argv,code", [(["scan", "nope"], 2), (["classes", "8", "2"], 3)])
+def test_a_command_that_fails_writes_no_manifest(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_optimizer_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["bounds", "cglmp"])
+    assert _config(args) == OptimizerConfig()
 
 
 def test_scan_range_validation():
@@ -472,8 +504,6 @@ def test_verify_quick_subset():
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
-    from magicwit import verify
-
     def boom():
         raise AssertionError("injected fault")
 
