@@ -5,6 +5,9 @@ Two matrices describe locally Clifford-equivalent states exactly when they
 are connected by vertex scalings (M moves) and weighted local
 complementations (L moves).  `enumerate_classes` labels every matrix of a
 register with its orbit at once, by sweeps over integer-coded matrices.
+The codes form a grid with one axis per upper-triangle entry, and a move
+shifts them by a sum of small tables broadcast along the axes of the
+entries it reads, so no digit is decoded by division.
 """
 
 from __future__ import annotations
@@ -96,31 +99,45 @@ class OrbitCatalog:
         return len(self.representatives)
 
 
-def _move_images(code: np.ndarray, n: int, d: int, place: dict) -> Iterator[np.ndarray]:
+def _move_images(code: np.ndarray, n: int, d: int) -> Iterator[np.ndarray]:
     """Yield the code -> code image of every M and L move, one at a time.
 
-    place[i, j] = place[j, i] is the base-d place value of the digit holding
-    entry (i, j).  Digits are recomputed from the codes where a move needs
-    them, so only a few code-length vectors are alive at a time.
-    """
+    The codes count in row-major base-d order, so code.reshape((d,) * pairs)
+    is a grid whose index along axis k is the digit of pair k, and digit[i, j]
+    is arange(d) laid along the axis of entry (i, j).  A move changes entry
+    (i, j) as a function of one digit, a_ij, for an M move, or of three,
+    (a_ij, a_vi, a_vj), for an L move.  So its change (new - old) * place[i, j]
+    is a table of d or d^3 entries on those axes, and an image is a copy of
+    the grid plus the broadcast sum of its move's tables.
 
-    def digit(i: int, j: int) -> np.ndarray:
-        return code // place[i, j] % d
+    Besides its image a move holds one table at a time, and no table
+    outgrows the grid (L tables need n >= 3, hence d^3 <= total).  Tables
+    are rebuilt on every call, that is every sweep, rather than kept: at
+    n = 3 each L table is as large as the grid, so keeping them all would
+    hold 3 (d - 1) grids.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    grid = code.reshape((d,) * len(pairs))
+    place, digit = {}, {}
+    for k, (i, j) in enumerate(pairs):
+        place[i, j] = place[j, i] = d ** (len(pairs) - 1 - k)
+        axes = [d if m == k else 1 for m in range(len(pairs))]
+        digit[i, j] = digit[j, i] = np.arange(d, dtype=code.dtype).reshape(axes)
 
     for v in range(n):
         others = [u for u in range(n) if u != v]
         for b in range(2, d):
-            img = code.copy()
+            img = grid.copy()
             for u in others:
-                a = digit(u, v)
+                a = digit[u, v]
                 img += (a * b % d - a) * place[u, v]
-            yield img
+            yield img.ravel()
         for c in range(1, d):
-            img = code.copy()
+            img = grid.copy()
             for i, j in itertools.combinations(others, 2):
-                a = digit(i, j)
-                img += ((a + c * digit(v, i) * digit(v, j)) % d - a) * place[i, j]
-            yield img
+                a = digit[i, j]
+                img += ((a + c * digit[v, i] * digit[v, j]) % d - a) * place[i, j]
+            yield img.ravel()
 
 
 def enumerate_classes(n: int, d: int) -> OrbitCatalog:
@@ -139,29 +156,29 @@ def enumerate_classes(n: int, d: int) -> OrbitCatalog:
     label = min(label, label[image]), and pointer jumping (label =
     label[label]) follows; sweeps repeat until one changes nothing.  Every
     move's inverse is a move too, so the fixed point labels each code with
-    the smallest code of its orbit.  Move images are recomputed each sweep,
-    so only a few code-length integer vectors are alive at a time.
+    the smallest code of its orbit.  Each sweep rebuilds every image from
+    the code grid and small tables, without division (`_move_images`), and
+    drops it once used: the codes, the labels, the labels before the sweep,
+    one image and its gathered labels are the only code-length vectors
+    alive at a time.
     """
     d = require_prime(d)
     if n < 1:
         raise ValueError("need at least one vertex")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = d ** len(pairs)
+    pairs = n * (n - 1) // 2
+    total = d**pairs
     if total > DEFAULT_ENUM_BUDGET:
         raise ResourceLimitError(
             f"{total} matrices at (n={n}, d={d}) exceed the enumeration budget "
             f"{DEFAULT_ENUM_BUDGET}"
         )
-    place_values = d ** np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
-    place = {}
-    for (i, j), v in zip(pairs, place_values.tolist()):
-        place[i, j] = place[j, i] = v
-    # Move arithmetic stays below total * d (a product of two digits when n = 2).
+    place_values = d ** np.arange(pairs - 1, -1, -1, dtype=np.int64)
+    # Table arithmetic stays below total * d (a product of two digits when n = 2).
     code = np.arange(total, dtype=np.int32 if total * d <= np.iinfo(np.int32).max else np.int64)
     label = code.copy()
     while True:
         before = label.copy()
-        for img in _move_images(code, n, d, place):
+        for img in _move_images(code, n, d):
             np.minimum(label, label[img], out=label)
         while True:
             jumped = label[label]
@@ -171,7 +188,7 @@ def enumerate_classes(n: int, d: int) -> OrbitCatalog:
         if np.array_equal(label, before):
             break
     reps, sizes = np.unique(label, return_counts=True)
-    # Digits in pair order fill the upper triangles (row-major, as `pairs`).
+    # Digits in pair order (row-major, first pair most significant) fill the upper triangles.
     rows, cols = np.triu_indices(n, 1)
     upper = np.zeros((len(reps), n, n), dtype=np.int64)
     upper[:, rows, cols] = reps[:, None] // place_values % d

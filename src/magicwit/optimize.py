@@ -98,7 +98,7 @@ class OptimizationReport:
     it is not the best.  In a stabilizer report all of these, and `trace`,
     belong to the winning class only: the restarts of the other classes,
     unconverged ones included, do not show.  The planned `--report` run
-    report (ROADMAP item 7) is to carry every class.
+    report (ROADMAP item 9) is to carry every class.
 
     `class_values` (stabilizer reports only) holds the best value found per
     graph-state class at the configured restarts.  The product class's entry

@@ -6,6 +6,7 @@ import pytest
 from magicwit.errors import ResourceLimitError
 from magicwit.graphs import (
     AdjacencyMatrix,
+    _move_images,
     cluster_representatives,
     enumerate_classes,
 )
@@ -54,6 +55,33 @@ def lc_orbit(a):
                 seen[nb.key()] = nb
                 frontier.append(nb)
     return tuple(seen[k] for k in sorted(seen))
+
+
+def move_images_by_division(code, n, d, place):
+    """Yield every M and L move's code -> code image, decoding digits by division.
+
+    place[i, j] = place[j, i] is the base-d place value of the digit holding
+    entry (i, j); each digit is read off the codes as code // place % d.
+    Checks `graphs._move_images`, which reads digits off grid axes instead.
+    """
+
+    def digit(i, j):
+        return code // place[i, j] % d
+
+    for v in range(n):
+        others = [u for u in range(n) if u != v]
+        for b in range(2, d):
+            img = code.copy()
+            for u in others:
+                a = digit(u, v)
+                img += (a * b % d - a) * place[u, v]
+            yield img
+        for c in range(1, d):
+            img = code.copy()
+            for i, j in itertools.combinations(others, 2):
+                a = digit(i, j)
+                img += ((a + c * digit(v, i) * digit(v, j)) % d - a) * place[i, j]
+            yield img
 
 
 def random_adjacency(rng, n, d):
@@ -156,12 +184,35 @@ def test_moves_preserve_invariants_and_invert(n, d):
         (2, 3, 2, 3),
         (2, 5, 2, 5),
         (3, 3, 5, 27),
+        # This enumeration's own 7-qubit count, not a published value.
+        (7, 2, 10773, 2**21),
     ],
 )
 def test_enumerate_classes_counts(n, d, classes, total):
     cat = enumerate_classes(n, d)
     assert len(cat) == classes
     assert cat.total == total == d ** (n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [(1, 2), (2, 2), (3, 2), (5, 2), (2, 3), (4, 3), (3, 5), (2, 7), (3, 7), (2, 1009)],
+)
+def test_move_images_match_division_oracle(n, d):
+    # Same images, bitwise and in the same order; (2, 1009) has M moves but
+    # no L-move tables.
+    pairs = list(itertools.combinations(range(n), 2))
+    place = {}
+    for k, (i, j) in enumerate(pairs):
+        place[i, j] = place[j, i] = d ** (len(pairs) - 1 - k)
+    for dtype in (np.int32, np.int64):
+        code = np.arange(d ** len(pairs), dtype=dtype)
+        got = list(_move_images(code, n, d))
+        want = list(move_images_by_division(code, n, d, place))
+        assert len(got) == len(want) == n * (2 * d - 3)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
 
 
 def test_enumerate_classes_deterministic_and_lex_minimal():
