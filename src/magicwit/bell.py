@@ -9,13 +9,12 @@ transformed from another representation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from magicwit.algebra import is_unitary, require_prime
-from magicwit.errors import ResourceLimitError
+from magicwit.errors import require_count
 
 # Most deterministic strategies `local_bound` enumerates; more raise ResourceLimitError.
 DEFAULT_STRATEGY_BUDGET = 1 << 24
@@ -152,12 +151,9 @@ def local_bound(ineq: BellInequality) -> float:
 
 def _local_optimum(ineq: BellInequality) -> tuple[float, list[np.ndarray]]:
     """`local_bound` and a strategy attaining it: plan[i][x] is party i's outcome in setting x."""
-    counts = [d**m for d, m in zip(ineq.outcomes, ineq.settings)]
-    total = math.prod(counts)
-    if total > DEFAULT_STRATEGY_BUDGET:
-        raise ResourceLimitError(
-            f"{total} deterministic strategies exceed the budget {DEFAULT_STRATEGY_BUDGET}"
-        )
+    powers = list(zip(ineq.outcomes, ineq.settings))
+    require_count(powers, DEFAULT_STRATEGY_BUDGET, "deterministic strategies exceed the budget")
+    counts = [d**m for d, m in powers]
     n = ineq.parties
     k = counts.index(max(counts))
     # Axes: (a_j, x_j) for each other party j in order, then (a_k, x_k).

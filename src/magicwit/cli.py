@@ -17,7 +17,7 @@ import numpy as np
 
 import magicwit
 from magicwit import bell, graphs, optimize, verify
-from magicwit.errors import InvariantError, ResourceLimitError
+from magicwit.errors import InvariantError, ResourceLimitError, require_count
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -129,6 +129,9 @@ def _resolve_inequality(args) -> bell.BellInequality:
     if spec == "tilted-chsh":
         return bell.catalog_tilted_chsh(args.alpha)
     if spec == "cglmp":
+        # Its d^2 x 4 entries are checked before a huge d reaches the primality test.
+        what = "entries of the cglmp coefficient tensor exceed the limit"
+        require_count([(args.d, 2), (2, 2)], MAX_COEFFICIENTS, what)
         return bell.catalog_cglmp(args.d)
     if spec == "svetlichny-r2":
         return bell.catalog_svetlichny_r2()

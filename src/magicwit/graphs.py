@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from magicwit.algebra import require_prime
-from magicwit.errors import ResourceLimitError
+from magicwit.errors import require_count
 
 # Most matrices `enumerate_classes` codes; a larger register raises ResourceLimitError.
 DEFAULT_ENUM_BUDGET = 1 << 24
@@ -166,12 +166,8 @@ def enumerate_classes(n: int, d: int) -> OrbitCatalog:
     if n < 1:
         raise ValueError("need at least one vertex")
     pairs = n * (n - 1) // 2
-    total = d**pairs
-    if total > DEFAULT_ENUM_BUDGET:
-        raise ResourceLimitError(
-            f"{total} matrices at (n={n}, d={d}) exceed the enumeration budget "
-            f"{DEFAULT_ENUM_BUDGET}"
-        )
+    what = f"matrices at (n={n}, d={d}) exceed the enumeration budget"
+    total = require_count([(d, pairs)], DEFAULT_ENUM_BUDGET, what)
     place_values = d ** np.arange(pairs - 1, -1, -1, dtype=np.int64)
     # Table arithmetic stays below total * d (a product of two digits when n = 2).
     code = np.arange(total, dtype=np.int32 if total * d <= np.iinfo(np.int32).max else np.int64)

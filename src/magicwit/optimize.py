@@ -14,12 +14,15 @@ if they stepped one after another:
   offset), aligning the basis with the singular vectors of the stacked
   gradient [B_a v_a] never decreases the objective; a search over cyclic
   relabelings of which root-of-unity eigenvalue sits on which column
-  follows;
-* a fixed product state, at every d: each B_a is g_a |phi><phi| for the
-  party's factor phi, so the exact maximizer puts phi in the column of the
-  largest g_a (`_product_step`).  Best response alone can stall below the
-  local bound, so restart 0 starts at the best deterministic strategy
-  (`bell._local_optimum`), which is a product state's maximum.
+  follows.
+
+A fixed product state measured in rank-1 projectors gives a local behavior,
+so its maximum is the local bound, and the best deterministic strategy
+(`bell._local_optimum`) attains it with each party's factor in the planned
+columns.  Best response alone can stall below that bound, so every restart
+of a product state starts there; the monotone steps then keep it at its
+maximum.  Past `bell.DEFAULT_STRATEGY_BUDGET` there is no plan, and those
+restarts start at random like any other.
 
 The unrestricted quantum value alternates measurement sweeps with an exact
 state update (top eigenvector of the Bell operator).  Every step is
@@ -40,12 +43,12 @@ end of every fixed-state restart.  With a free state it is checked against
 re-anchors it to `_objective`, which also values the restart.
 
 Every see-saw array has a leading row axis, one row per (state, restart)
-pair.  A fixed state comes one per row, or once for a batch whose rows all
-share it.  Batches span states: `w_heatmap` runs the restarts of all its grid
-points as one stream of rows, sliced into batches by `SEESAW_BUDGET`.  Each
-row draws its start from its own spawned seed (restart 0 of a product state:
-the planned strategy) and reads no other row, so results do not depend on
-how the batches are composed.
+pair, and a fixed state comes once per row.  Batches span states:
+`w_heatmap` runs the restarts of all its grid points as one stream of rows,
+sliced into batches by `SEESAW_BUDGET`.  Each row draws its start from its
+own spawned seed (a product state's then moved to the planned strategy) and
+reads no other row, so results do not depend on how the batches are
+composed.
 """
 
 from __future__ import annotations
@@ -101,12 +104,13 @@ class OptimizationReport:
     report (ROADMAP item 9) is to carry every class.
 
     `class_values` (stabilizer reports only) holds the best value found per
-    graph-state class at the configured restarts.  The product class's entry
-    is its exact maximum, the local bound (to rounding), when the
-    deterministic strategies fit `bell.DEFAULT_STRATEGY_BUDGET`.  Every other
-    entry is a lower bound on that class's maximum, not the maximum itself: a
-    class whose optimum only a few restarts reach can report less at another
-    seed.
+    graph-state class at the configured restarts.  When the deterministic
+    strategies fit `bell.DEFAULT_STRATEGY_BUDGET`, every restart of the
+    product class starts at the best of them, so its entry is its exact
+    maximum, the local bound (to rounding).  Every other entry, and the
+    product class's past that budget (its restarts then start at random), is
+    a lower bound on that class's maximum, not the maximum itself: a class
+    whose optimum only a few restarts reach can report less at another seed.
     """
 
     value: float
@@ -223,40 +227,16 @@ def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _reflect(v: np.ndarray, phi: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Householder reflections of the bases v (..., d, d) taking column k to phi, up to a phase.
 
-    phi (d,) serves every basis, or phi (..., d) broadcasts against them.
-    Each column c goes to -e^(i arg <phi|c>) phi, so the reflection vector
-    u = c + e^(i arg <phi|c>) phi has |u|^2 = 2 + 2 |<phi|c>| >= 2 and no
-    cancellation.  The other columns stay orthonormal to it.
+    One unit vector phi (d,) serves every basis.  Each column c goes to
+    -e^(i arg <phi|c>) phi, so the reflection vector u = c + e^(i arg <phi|c>) phi
+    has |u|^2 = 2 + 2 |<phi|c>| >= 2 and no cancellation.  The other columns
+    stay orthonormal to it.
     """
     c = np.take_along_axis(v, k[..., None, None], axis=-1)[..., 0]
     u = c + np.exp(1j * np.angle(np.einsum("...p,...p->...", c, phi.conj())))[..., None] * phi
     scale = 2.0 / np.einsum("...p,...p->...", u.conj(), u).real
     uv = np.einsum("...p,...pa->...a", u.conj(), v)
     return v - (scale[..., None] * u)[..., :, None] * uv[..., None, :]
-
-
-def _product_step(bh: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Exact step of a party whose factor of a product state is phi.
-
-    Every outcome operator is then B[a] = g[a] |phi><phi| with g = tr B, so
-    the value sum_a g_a |<phi|v_a>|^2 is at most max_a g_a, and it reaches
-    that with phi in the column of the largest g_a (the first on ties).
-    """
-    return _reflect(v, phi, np.argmax(np.einsum("...app->...a", bh).real, axis=-1))
-
-
-def _update(bh, v, phi, product):
-    """Basis step of every (row, setting), bh (R, m, d, d, d) and v (R, m, d, d).
-
-    The rows that `product` indexes take `_product_step` with their factor
-    phi[R], the others `_basis_update`.
-    """
-    if len(product) == len(v):
-        return _product_step(bh, v, phi[:, None])
-    new = _basis_update(bh, v)
-    if len(product):
-        new[product] = _product_step(bh[product], v[product], phi[product, None])
-    return new
 
 
 def _unit(coeffs: np.ndarray) -> float:
@@ -307,21 +287,18 @@ def _bell_operator(bases, coeffs) -> np.ndarray:
     return (k.conj() * w) @ k.swapaxes(-1, -2)
 
 
-def _restarts(coeffs, outcomes, settings, psi, seeds, factors, starts):
+def _restarts(coeffs, outcomes, settings, psi, seeds, starts):
     """One see-saw per seed, each restart a row of one batch.
 
     `psi` is None for a free state, else the fixed states (R, dim), one per
-    row, or one state (dim,) that every row shares.  A restart draws its start
-    from its own seed: a free state first, then the bases party by party.
-    Each iteration sweeps the rows still running, then takes the state step
-    if the state is free; a row stops once a sweep gains less than `STOP_TOL`
-    `_unit`s, or after `MAX_SWEEPS`.
+    row.  A restart draws its start from its own seed: a free state first,
+    then the bases party by party.  Each iteration sweeps the rows still
+    running, then takes the state step if the state is free; a row stops once
+    a sweep gains less than `STOP_TOL` `_unit`s, or after `MAX_SWEEPS`.
 
-    factors[r] is None, or the factors of row r's state when it is a product
-    (`states._product_factors`); such a row takes `_product_step` in place of
-    `_basis_update`.  A row with starts[r] set (restart 0 of a product state)
-    starts instead with its factors in the planned columns, starts[r][i][x]
-    being party i's outcome in setting x.
+    starts[r] is None, or one (factor, plan) pair per party when row r's
+    state is a product: its drawn bases are then reflected to put party i's
+    factor in column plan[x] of setting x, the best deterministic strategy.
 
     Each sweep's trace is kept as the list of rows it ran and their (rows,
     steps) values, led by the start values.
@@ -335,12 +312,9 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, factors, starts):
         psi /= np.array([[np.linalg.norm(p)] for p in psi])
     psi_t = psi.reshape(-1, *outcomes)
     bases = [algebra.random_bases(rngs, d, m) for d, m in zip(outcomes, settings)]
-    product = np.array([f is not None for f in factors])
-    # An entangled row's factor is a placeholder that `_update` never reads.
-    phis = [np.array([f[i] if f else np.zeros(d) for f in factors]) for i, d in enumerate(outcomes)]
     for r, start in enumerate(starts):
-        for b, phi, outs in zip(bases, phis, start or ()):
-            b[r] = _reflect(b[r], phi[r], outs)
+        for b, (phi, outs) in zip(bases, start or ()):
+            b[r] = _reflect(b[r], phi, outs)
     value = _objective(psi_t, bases, coeffs)
     sweeps = [(list(range(len(rngs))), value[:, None].copy())]
     blocks = [_coefficient_block(coeffs, i) for i in range(len(bases))]
@@ -349,14 +323,13 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, factors, starts):
     for it in range(1, MAX_SWEEPS + 1):
         rows = np.flatnonzero(~converged)
         sub = [b[rows] for b in bases]
-        sub_t = psi_t if len(psi_t) == 1 else psi_t[rows]
-        on = np.flatnonzero(product[rows])
+        sub_t = psi_t[rows]
         trace = [value[rows]]
-        for i, (w, phi) in enumerate(zip(blocks, phis)):
+        for i, w in enumerate(blocks):
             env = _environments(_contractions(sub_t, sub, i), w)
             env = 0.5 * (env + np.conj(env.swapaxes(-1, -2)))
             old = _active_value(env, sub[i])
-            sub[i] = _update(env, sub[i], phi[rows], on)
+            sub[i] = _basis_update(env, sub[i])
             # One trace entry per setting, as if the settings stepped in turn.
             for gain in (_active_value(env, sub[i]) - old).T:
                 _ascend(trace, trace[-1] + gain, "step", unit)
@@ -384,11 +357,14 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, factors, starts):
 
 
 def _rows(ineq, jobs, restarts):
-    """(state, factors, start, seed) of every restart of every job, made as they are read.
+    """(state, start, seed) of every restart of every job, made as they are read.
 
     Product detection runs once per state, and `bell._local_optimum` at most
-    once: its plan is the start of restart 0 of every product state (none
-    past `bell.DEFAULT_STRATEGY_BUDGET`).
+    once.  The start of every restart of a product state pairs each party's
+    factor (`states._product_factors`) with its outcomes in that plan, the
+    best deterministic strategy, where the state is already at its maximum;
+    every other start is None, and so is a product state's past
+    `bell.DEFAULT_STRATEGY_BUDGET`, where its restarts start at random.
     """
     plan = None
     for psi, root in jobs:
@@ -397,9 +373,10 @@ def _rows(ineq, jobs, restarts):
             try:
                 plan = bell._local_optimum(ineq)[1]
             except ResourceLimitError:
-                plan = []  # restart 0 keeps its random start
-        for r, seed in enumerate(root.spawn(restarts)):
-            yield psi, factors, plan if factors and r == 0 else None, seed
+                plan = []
+        start = list(zip(factors, plan)) if factors and plan else None
+        for seed in root.spawn(restarts):
+            yield psi, start, seed
 
 
 def _best_of_restarts(ineq, jobs, cfg, state_label) -> Iterator[OptimizationReport]:
@@ -423,9 +400,9 @@ def _best_of_restarts(ineq, jobs, cfg, state_label) -> Iterator[OptimizationRepo
     unit = _unit(ineq.coeffs)
     done = []  # (run, row, state) of the job's restarts so far
     while batch := list(itertools.islice(stream, size)):
-        psis, factors, starts, seeds = zip(*batch)
-        psi = psis[0] if all(p is psis[0] for p in psis) else np.stack(psis)
-        run = _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, seeds, factors, starts)
+        psis, starts, seeds = zip(*batch)
+        psi = None if psis[0] is None else np.stack(psis)
+        run = _restarts(ineq.coeffs, ineq.outcomes, ineq.settings, psi, seeds, starts)
         for r, state in enumerate(psis):
             done.append((run, r, state))
             if len(done) < cfg.restarts:

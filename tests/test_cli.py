@@ -363,6 +363,53 @@ def test_seesaw_register_limit_exits_3_before_allocating(monkeypatch, capsys, wh
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["classes", "170", "2"], "2^14365 matrices at (n=170, d=2) exceed the enumeration budget"),
+        # 3^(2 10^10) matrices: never built, so this returns at once.
+        (
+            ["classes", "200000", "3"],
+            "3^19999900000 matrices at (n=200000, d=3) exceed the enumeration budget",
+        ),
+        (
+            ["bounds", "FILE", "--which", "local"],
+            "2^20000 x 2^1 deterministic strategies exceed the budget",
+        ),
+    ],
+    ids=["classes-170-2", "classes-200000-3", "file-20000-settings"],
+)
+def test_budget_of_a_huge_count_exits_3(tmp_path, capsys, argv, line):
+    # The count is decided without building it, and its line names its powers.
+    # FILE has 2^20000 x 2 strategies, a count of 6021 digits.
+    doc = {"parties": 2, "outcomes": [2, 2], "settings": [20000, 1], "coefficients": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {line} {1 << 24}"]
+
+
+@pytest.mark.parametrize(
+    "d, size",
+    [("5", "100"), ("1000000000000000003", "1000000000000000003^2 x 2^2")],
+    ids=["d-5", "d-huge-prime"],
+)
+def test_cglmp_tensor_limit_exits_3_before_building(monkeypatch, capsys, d, size):
+    from magicwit import bell, cli
+
+    # cglmp(5) holds 5^2 x 4 = 100 coefficients; the huge d would stall the primality test.
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 99)
+    monkeypatch.setattr(bell, "catalog_cglmp", lambda d: pytest.fail("cglmp built"))
+    assert main(["bounds", "cglmp", "--d", d, "--which", "local"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {size} entries of the cglmp coefficient tensor exceed the limit 99"
+    ]
+
+
 def test_budget_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classes", "3", "2", "--budget", "5"])
