@@ -11,6 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from magicwit.errors import require_count
+
+# Most coefficient-tensor entries `bell` builds; a tensor holds >= d entries, so it caps d too.
+MAX_COEFFICIENTS = 1 << 24
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test; inputs here are tiny."""
@@ -25,8 +30,10 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(d) -> int:
-    """Validate a local dimension and return it as a plain int."""
-    if not isinstance(d, (int, np.integer)) or not is_prime(int(d)):
+    """Validate a local dimension, refused untested past MAX_COEFFICIENTS, as a plain int."""
+    if not isinstance(d, (int, np.integer)) or not is_prime(
+        int(require_count([(d, 1)], MAX_COEFFICIENTS, "is a local dimension past the limit"))
+    ):
         raise ValueError(f"local dimension must be a prime integer, got {d!r}")
     return int(d)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from magicwit.algebra import is_unitary, require_prime
+from magicwit.algebra import MAX_COEFFICIENTS, is_unitary, require_prime
 from magicwit.errors import require_count
 
 # Most deterministic strategies `local_bound` enumerates; more raise ResourceLimitError.
@@ -207,6 +207,8 @@ def catalog_cglmp(d: int) -> BellInequality:
     outcomes compared mod d.  Its deterministic local bound is 2; at d = 3
     the quantum maximum is 2.9149.
     """
+    what = "entries of the cglmp coefficient tensor exceed the limit"
+    require_count([(d, 2), (2, 2)], MAX_COEFFICIENTS, what)
     require_prime(d)
     diff = np.subtract.outer(np.arange(d), np.arange(d)) % d
     c = np.zeros((d, d, 2, 2))

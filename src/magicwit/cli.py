@@ -28,8 +28,6 @@ CATALOG = ("tilted-chsh", "cglmp", "svetlichny-r2")
 
 # Largest scan or heatmap grid; checked before any grid point is built.
 MAX_GRID_POINTS = 10**5
-# Largest coefficient tensor of an inequality file; checked before it is allocated.
-MAX_COEFFICIENTS = 1 << 24
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
@@ -45,11 +43,6 @@ def _config(args) -> optimize.OptimizerConfig:
 
 def _cfg_echo(cfg: optimize.OptimizerConfig) -> dict:
     return {"seed": cfg.seed, "restarts": cfg.restarts, "tol": optimize.STOP_TOL}
-
-
-def _require_grid(points: float) -> None:
-    if points > MAX_GRID_POINTS:
-        raise ResourceLimitError(f"grid of {points:.6g} points exceeds the limit {MAX_GRID_POINTS}")
 
 
 def _is_int(v) -> bool:
@@ -87,11 +80,8 @@ def load_inequality_file(path: str) -> bell.BellInequality:
     records = data["coefficients"]
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError(f"{path}: field 'coefficients' must be a list of objects")
-    size = math.prod(outcomes + settings)
-    if size > MAX_COEFFICIENTS:
-        raise ResourceLimitError(
-            f"{path}: coefficient tensor of {size} entries exceeds the limit {MAX_COEFFICIENTS}"
-        )
+    what = f"entries of the coefficient tensor of {path} exceed the limit"
+    require_count([(c, 1) for c in outcomes + settings], bell.MAX_COEFFICIENTS, what)
     coeffs = np.zeros(outcomes + settings)
     seen = set()
     for idx, rec in enumerate(records):
@@ -129,9 +119,6 @@ def _resolve_inequality(args) -> bell.BellInequality:
     if spec == "tilted-chsh":
         return bell.catalog_tilted_chsh(args.alpha)
     if spec == "cglmp":
-        # Its d^2 x 4 entries are checked before a huge d reaches the primality test.
-        what = "entries of the cglmp coefficient tensor exceed the limit"
-        require_count([(args.d, 2), (2, 2)], MAX_COEFFICIENTS, what)
         return bell.catalog_cglmp(args.d)
     if spec == "svetlichny-r2":
         return bell.catalog_svetlichny_r2()
@@ -187,7 +174,9 @@ def cmd_scan(args) -> tuple[int, dict]:
         raise ValueError("tilted-chsh scan needs 0 <= start <= stop <= 2")
     cfg = _config(args)
     span = (args.stop - args.start) / args.step
-    _require_grid(span + 1)
+    # Past the limit exactly when span + 1 is; an infinite span stays as it is.
+    points = math.ceil(span + 1) if math.isfinite(span) else span
+    require_count([(points, 1)], MAX_GRID_POINTS, "grid points exceed the limit")
     # The grid stops at the last point not past `stop`; the tolerance keeps
     # endpoints that the division leaves an ulp short, such as 0.3 / 0.1.
     count = math.floor(span + 1e-9) + 1
@@ -204,7 +193,8 @@ def cmd_scan(args) -> tuple[int, dict]:
 def cmd_heatmap(args) -> tuple[int, dict]:
     if args.theta_steps < 2 or args.phi_steps < 2:
         raise ValueError("grid sizes must be at least 2")
-    _require_grid(args.theta_steps * args.phi_steps)
+    what = "grid points exceed the limit"
+    require_count([(args.theta_steps, 1), (args.phi_steps, 1)], MAX_GRID_POINTS, what)
     cfg = _config(args)
     thetas = np.linspace(0.0, np.pi, args.theta_steps)
     phis = np.linspace(0.0, np.pi, args.phi_steps)

@@ -4,10 +4,7 @@ import math
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration, a grid, a coefficient tensor or a see-saw register would exceed its limit.
-
-    Every limit is a module constant, checked before the large array is allocated.
-    """
+    """A count past its limit, raised by `require_count` before anything that size is built."""
 
 
 class InvariantError(AssertionError):
@@ -30,10 +27,10 @@ def require_count(powers, budget: int, what: str) -> int:
     Otherwise raises ResourceLimitError("<count> <what> <budget>").  A power
     with b > budget, or with e past the budget's bit length (b^e >= 2^e),
     exceeds the budget alone; then no power is built and the count is
-    written as its powers, so a count such as 3^(2 10^10) costs no time.
+    written as its powers (b^1 as b), so 3^(2 10^10) costs no time.
     """
     if any(b > 1 and e > 0 and (b > budget or e > budget.bit_length()) for b, e in powers):
-        count = " x ".join(f"{b}^{e}" for b, e in powers)
+        count = " x ".join(f"{b}^{e}" if e != 1 else str(b) for b, e in powers)
     else:
         count = math.prod(b**e for b, e in powers)
         if count <= budget:

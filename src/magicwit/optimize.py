@@ -61,13 +61,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from magicwit import algebra, bell, graphs, states
-from magicwit.errors import ResourceLimitError, require
+from magicwit.errors import ResourceLimitError, require, require_count
 
 
 # Sweeps per restart, at most.
 MAX_SWEEPS = 500
 # A restart stops once a sweep raises its value by less than this, in `_unit`s.
 STOP_TOL = 1e-9
+# Most restarts per see-saw: `_rows` spawns them all, and a job's batches stay alive to its last.
+MAX_RESTARTS = 1024
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,7 @@ class OptimizerConfig:
             raise ValueError("restarts must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        require_count([(self.restarts, 1)], MAX_RESTARTS, "see-saw restarts exceed the limit")
 
 
 @dataclass(frozen=True)
@@ -389,12 +392,9 @@ def _best_of_restarts(ineq, jobs, cfg, state_label) -> Iterator[OptimizationRepo
     yielded once its last restart is done.  The best is the first restart
     whose final value is within 1e-12 `_unit`s of the highest.
     """
-    entries = math.prod(ineq.outcomes) ** 2 * math.prod(ineq.settings)
-    if entries > SEESAW_REGISTER_LIMIT:
-        raise ResourceLimitError(
-            f"see-saw register of {entries} entries per restart exceeds the limit "
-            f"{SEESAW_REGISTER_LIMIT}"
-        )
+    powers = [(d, 2) for d in ineq.outcomes] + [(m, 1) for m in ineq.settings]
+    what = "see-saw register entries per restart exceed the limit"
+    entries = require_count(powers, SEESAW_REGISTER_LIMIT, what)
     size = max(1, SEESAW_BUDGET // entries)
     stream = _rows(ineq, jobs, cfg.restarts)
     unit = _unit(ineq.coeffs)

@@ -37,17 +37,19 @@ def inequality_to_json(ineq: BellInequality) -> dict:
     }
 
 
-def run_cli(args, env=None):
+def run_cli(args, env=None, timeout=None):
     """Run the CLI in a child process that inherits this environment.
 
     The child finds the package the same way the tests do (installed, or via
-    ``PYTHONPATH``); ``env`` entries are set on top of the inherited ones.
+    ``PYTHONPATH``); ``env`` entries are set on top of the inherited ones.  A
+    child still running after ``timeout`` seconds is killed and the call raises.
     """
     return subprocess.run(
         [sys.executable, "-m", "magicwit", *args],
         capture_output=True,
         text=True,
         env={**os.environ, **(env or {})},
+        timeout=timeout,
     )
 
 
@@ -237,11 +239,17 @@ def test_heatmap_grid_validation():
 @pytest.mark.parametrize(
     "argv, points",
     [
-        (["scan", "tilted-chsh", "--step", "1e-12"], "2e+12"),
+        (["scan", "tilted-chsh", "--step", "1e-12"], "2000000000001"),
         (["scan", "tilted-chsh", "--step", "5e-324"], "inf"),
         (["scan", "tilted-chsh", "--stop", "1", "--step", "1e-5"], "100001"),
-        (["heatmap", "--theta-steps", "100000", "--phi-steps", "100000"], "1e+10"),
+        (["heatmap", "--theta-steps", "100000", "--phi-steps", "100000"], "10000000000"),
         (["heatmap", "--theta-steps", "1000", "--phi-steps", "101"], "101000"),
+        # Too large for a float: the count is written as its factors.
+        pytest.param(
+            ["heatmap", "--theta-steps", str(10**400), "--phi-steps", "2"],
+            f"{10**400} x 2",
+            id="heatmap-10^400-steps",
+        ),
     ],
 )
 def test_oversized_grid_exits_3_before_building(monkeypatch, capsys, argv, points):
@@ -255,7 +263,7 @@ def test_oversized_grid_exits_3_before_building(monkeypatch, capsys, argv, point
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: grid of {points} points exceeds the limit 100000"]
+    assert captured.err.splitlines() == [f"error: {points} grid points exceed the limit 100000"]
 
 
 @pytest.mark.parametrize(
@@ -331,9 +339,9 @@ def test_bounds_spec_file_over_strategy_budget_exits_3(tmp_path):
 
 
 def test_coefficient_tensor_limit_exits_3_before_allocating(monkeypatch, tmp_path, capsys):
-    from magicwit import cli
+    from magicwit import bell
 
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 16)
+    monkeypatch.setattr(bell, "MAX_COEFFICIENTS", 16)
     doc = {"parties": 2, "outcomes": [2, 2], "settings": [2, 2], "coefficients": []}
     path = tmp_path / "small.json"
     path.write_text(json.dumps(doc))
@@ -344,7 +352,7 @@ def test_coefficient_tensor_limit_exits_3_before_allocating(monkeypatch, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: {path}: coefficient tensor of 36 entries exceeds the limit 16"
+        f"error: 36 entries of the coefficient tensor of {path} exceed the limit 16"
     ]
 
 
@@ -359,7 +367,7 @@ def test_seesaw_register_limit_exits_3_before_allocating(monkeypatch, capsys, wh
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: see-saw register of 64 entries per restart exceeds the limit 63"
+        "error: 64 see-saw register entries per restart exceed the limit 63"
     ]
 
 
@@ -374,7 +382,7 @@ def test_seesaw_register_limit_exits_3_before_allocating(monkeypatch, capsys, wh
         ),
         (
             ["bounds", "FILE", "--which", "local"],
-            "2^20000 x 2^1 deterministic strategies exceed the budget",
+            "2^20000 x 2 deterministic strategies exceed the budget",
         ),
     ],
     ids=["classes-170-2", "classes-200000-3", "file-20000-settings"],
@@ -397,17 +405,68 @@ def test_budget_of_a_huge_count_exits_3(tmp_path, capsys, argv, line):
     ids=["d-5", "d-huge-prime"],
 )
 def test_cglmp_tensor_limit_exits_3_before_building(monkeypatch, capsys, d, size):
-    from magicwit import bell, cli
+    from magicwit import bell
 
-    # cglmp(5) holds 5^2 x 4 = 100 coefficients; the huge d would stall the primality test.
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 99)
-    monkeypatch.setattr(bell, "catalog_cglmp", lambda d: pytest.fail("cglmp built"))
+    # cglmp(5) holds 5^2 x 4 = 100 coefficients; each count comes before d's primality test.
+    monkeypatch.setattr(bell, "MAX_COEFFICIENTS", 99)
+    monkeypatch.setattr(bell, "require_prime", lambda d: pytest.fail("primality tested"))
     assert main(["bounds", "cglmp", "--d", d, "--which", "local"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: {size} entries of the cglmp coefficient tensor exceed the limit 99"
     ]
+
+
+def test_file_of_huge_counts_exits_3(tmp_path, capsys):
+    # The tensor's entry count has 8002 digits, past what Python writes as a
+    # decimal string; the count is written as its factors instead.
+    big = 10**4000 + 1
+    doc = {"parties": 2, "outcomes": [big, big], "settings": [1, 1], "coefficients": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", str(path), "--which", "local"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {big} x {big} x 1 x 1 entries of the coefficient tensor of {path} "
+        f"exceed the limit {1 << 24}"
+    ]
+
+
+PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["classes", "3", PRIME], 3, f"{PRIME} is a local dimension past the limit {1 << 24}"),
+        (["classes", "1", PRIME], 3, f"{PRIME} is a local dimension past the limit {1 << 24}"),
+        (
+            ["bounds", "tilted-chsh", "--restarts", "1000000000"],
+            3,
+            "1000000000 see-saw restarts exceed the limit 1024",
+        ),
+        # A d that is no prime is refused before the count (-2)^(2 10^10) is formed.
+        (["classes", "200000", "-2"], 2, "local dimension must be a prime integer, got -2"),
+        (["classes", "8", "4"], 2, "local dimension must be a prime integer, got 4"),
+    ],
+    ids=[
+        "classes-3-prime",
+        "classes-1-prime",
+        "restarts-1e9",
+        "classes-200000-minus-2",
+        "classes-8-4",
+    ],
+)
+def test_limit_is_decided_before_the_work(argv, code, line):
+    # The dimension and the restart count are decided before the trial division,
+    # the count or the spawn of the restarts, so these end at once; the timeout
+    # turns a hang into a failure.
+    out = run_cli(argv, timeout=60)
+    assert out.returncode == code
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [f"error: {line}"]
 
 
 def test_budget_flag_is_gone(capsys):

@@ -19,7 +19,7 @@ from magicwit.bell import (
     evaluate,
     local_bound,
 )
-from magicwit.errors import InvariantError
+from magicwit.errors import InvariantError, ResourceLimitError
 from magicwit.graphs import AdjacencyMatrix, cluster_representatives
 from magicwit.optimize import (
     OptimizerConfig,
@@ -730,6 +730,12 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         OptimizerConfig(seed=-1)
+
+
+def test_restart_limit():
+    assert OptimizerConfig(restarts=optimize.MAX_RESTARTS).restarts == optimize.MAX_RESTARTS
+    with pytest.raises(ResourceLimitError, match="^1025 see-saw restarts exceed the limit 1024$"):
+        OptimizerConfig(restarts=optimize.MAX_RESTARTS + 1)
 
 
 def test_gap_scan_rows():

@@ -143,3 +143,19 @@ def test_invariants_go_through_require():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_limits_go_through_require_count():
+    # Every size limit is decided, and its count written, by
+    # `errors.require_count`: no other module constructs ResourceLimitError.
+    found = []
+    for path in _sources():
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "ResourceLimitError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
