@@ -58,6 +58,8 @@ def load_inequality_file(path: str) -> bell.BellInequality:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit, or bytes that are not UTF-8
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for field in ("parties", "outcomes", "settings", "coefficients"):

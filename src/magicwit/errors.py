@@ -27,12 +27,23 @@ def require_count(powers, budget: int, what: str) -> int:
     Otherwise raises ResourceLimitError("<count> <what> <budget>").  A power
     with b > budget, or with e past the budget's bit length (b^e >= 2^e),
     exceeds the budget alone; then no power is built and the count is
-    written as its powers (b^1 as b), so 3^(2 10^10) costs no time.
+    written as its powers (b^1 as b), so 3^(2 10^10) costs no time.  A
+    number with more digits than Python writes in decimal is written as
+    (10^x), x = log10 of it to 6 significant digits.
     """
     if any(b > 1 and e > 0 and (b > budget or e > budget.bit_length()) for b, e in powers):
-        count = " x ".join(f"{b}^{e}" if e != 1 else str(b) for b, e in powers)
+        count = " x ".join(f"{_write(b)}^{_write(e)}" if e != 1 else _write(b) for b, e in powers)
     else:
         count = math.prod(b**e for b, e in powers)
         if count <= budget:
             return count
+        count = _write(count)
     raise ResourceLimitError(f"{count} {what} {budget}")
+
+
+def _write(x: int) -> str:
+    """x in decimal, or as (10^log10 x) if Python refuses to write its digits."""
+    try:
+        return str(x)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"(10^{math.log10(x):.6g})"

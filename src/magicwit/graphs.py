@@ -110,19 +110,38 @@ def _move_images(code: np.ndarray, n: int, d: int) -> Iterator[np.ndarray]:
     is a table of d or d^3 entries on those axes, and an image is a copy of
     the grid plus the broadcast sum of its move's tables.
 
+    A table on one of the grid's last axes would leave numpy inner loops of
+    a few entries, so the grid is viewed as a head of (d,) axes and one
+    contiguous tail axis of d^t lanes that merges the last t = pairs // 2
+    axes, when d^t >= 64 (else t = 0 and the tail is one lane).  The digit
+    of a tail pair is laid over the whole tail, so every table that reads a
+    tail digit comes out materialized over all d^t lanes and its add runs
+    them contiguously; a table on head axes only broadcasts along the tail
+    as before.  The sums are the same, so are the images, bitwise.
+
     Besides its image a move holds one table at a time, and no table
-    outgrows the grid (L tables need n >= 3, hence d^3 <= total).  Tables
-    are rebuilt on every call, that is every sweep, rather than kept: at
-    n = 3 each L table is as large as the grid, so keeping them all would
+    outgrows the grid: it spans d entries per head axis it reads, times d^t
+    if it reads a tail digit, so at most d^head * d^t = total, and d^3 when
+    it reads no tail digit (L tables need n >= 3, hence d^3 <= total).  The
+    tail digits hold pairs * d^t entries more, with d^t <= sqrt(total).
+    Tables are rebuilt on every call, that is every sweep, rather than kept:
+    at n = 3 each L table is as large as the grid, so keeping them all would
     hold 3 (d - 1) grids.
     """
     pairs = list(itertools.combinations(range(n), 2))
-    grid = code.reshape((d,) * len(pairs))
+    tail = len(pairs) // 2
+    if d**tail < 64:
+        tail = 0
+    head = len(pairs) - tail
+    grid = code.reshape((d,) * head + (d**tail,))
     place, digit = {}, {}
     for k, (i, j) in enumerate(pairs):
         place[i, j] = place[j, i] = d ** (len(pairs) - 1 - k)
         axes = [d if m == k else 1 for m in range(len(pairs))]
-        digit[i, j] = digit[j, i] = np.arange(d, dtype=code.dtype).reshape(axes)
+        a = np.arange(d, dtype=code.dtype).reshape(axes)
+        if k >= head:
+            a = np.broadcast_to(a, a.shape[:head] + (d,) * tail)
+        digit[i, j] = digit[j, i] = a.reshape(a.shape[:head] + (-1,))
 
     for v in range(n):
         others = [u for u in range(n) if u != v]

@@ -434,7 +434,36 @@ def test_file_of_huge_counts_exits_3(tmp_path, capsys):
     ]
 
 
+def test_file_of_many_counts_exits_3(tmp_path, capsys):
+    # No count passes the limit alone, but their product, 2^14400, has 4335
+    # digits, more than Python writes in decimal.
+    doc = {"parties": 600, "outcomes": [1 << 24] * 600, "settings": [1] * 600, "coefficients": []}
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", str(path), "--which", "local"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: (10^4334.83) entries of the coefficient tensor of {path} "
+        f"exceed the limit {1 << 24}"
+    ]
+
+
+def test_file_of_a_number_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # 5001 digits, more than Python reads as an integer; the error names the file.
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"parties": 1, "outcomes": [1' + "0" * 5000 + '], "settings": [1], "coefficients": []}'
+    )
+    assert main(["bounds", str(path), "--which", "local"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {path}: ") and "digits" in line
+
+
 PRIME = "1000000000000000003"
+HUGE_N = "1" + "0" * 2500
 
 
 @pytest.mark.parametrize(
@@ -450,6 +479,12 @@ PRIME = "1000000000000000003"
         # A d that is no prime is refused before the count (-2)^(2 10^10) is formed.
         (["classes", "200000", "-2"], 2, "local dimension must be a prime integer, got -2"),
         (["classes", "8", "4"], 2, "local dimension must be a prime integer, got 4"),
+        # n(n-1)/2 has 5000 digits, more than Python writes in decimal.
+        (
+            ["classes", HUGE_N, "2"],
+            3,
+            f"2^(10^4999.7) matrices at (n={HUGE_N}, d=2) exceed the enumeration budget {1 << 24}",
+        ),
     ],
     ids=[
         "classes-3-prime",
@@ -457,6 +492,7 @@ PRIME = "1000000000000000003"
         "restarts-1e9",
         "classes-200000-minus-2",
         "classes-8-4",
+        "classes-10^2500-2",
     ],
 )
 def test_limit_is_decided_before_the_work(argv, code, line):

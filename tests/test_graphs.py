@@ -196,11 +196,15 @@ def test_enumerate_classes_counts(n, d, classes, total):
 
 @pytest.mark.parametrize(
     "n,d",
-    [(1, 2), (2, 2), (3, 2), (5, 2), (2, 3), (4, 3), (3, 5), (2, 7), (3, 7), (2, 1009)],
+    [
+        (1, 2), (2, 2), (3, 2), (5, 2), (6, 2), (2, 3), (4, 3), (5, 3),
+        (3, 5), (4, 5), (2, 7), (3, 7), (2, 1009),
+    ],
 )
 def test_move_images_match_division_oracle(n, d):
     # Same images, bitwise and in the same order; (2, 1009) has M moves but
-    # no L-move tables.
+    # no L-move tables.  (6, 2), (5, 3) and (4, 5) lay their last 7, 5 and 3
+    # axes into a tail of at least 64 lanes; the others keep one lane.
     pairs = list(itertools.combinations(range(n), 2))
     place = {}
     for k, (i, j) in enumerate(pairs):
