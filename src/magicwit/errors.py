@@ -32,16 +32,18 @@ def require_count(powers, budget: int, what: str) -> int:
     (10^x), x = log10 of it to 6 significant digits.
     """
     if any(b > 1 and e > 0 and (b > budget or e > budget.bit_length()) for b, e in powers):
-        count = " x ".join(f"{_write(b)}^{_write(e)}" if e != 1 else _write(b) for b, e in powers)
+        count = " x ".join(
+            f"{write_count(b)}^{write_count(e)}" if e != 1 else write_count(b) for b, e in powers
+        )
     else:
         count = math.prod(b**e for b, e in powers)
         if count <= budget:
             return count
-        count = _write(count)
+        count = write_count(count)
     raise ResourceLimitError(f"{count} {what} {budget}")
 
 
-def _write(x: int) -> str:
+def write_count(x: int) -> str:
     """x in decimal, or as (10^log10 x) if Python refuses to write its digits."""
     try:
         return str(x)

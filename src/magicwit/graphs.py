@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from magicwit.algebra import require_prime
-from magicwit.errors import require_count
+from magicwit.errors import require_count, write_count
 
 # Most matrices `enumerate_classes` codes; a larger register raises ResourceLimitError.
 DEFAULT_ENUM_BUDGET = 1 << 24
@@ -54,10 +54,6 @@ class AdjacencyMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def key(self) -> bytes:
-        """Row-major byte string; byte order matches lexicographic entry order."""
-        return self.entries.astype(np.uint8).tobytes()
-
     def edges(self) -> list[tuple[int, int, int]]:
         """(i, j, weight) for i < j with nonzero weight."""
         return [
@@ -66,17 +62,6 @@ class AdjacencyMatrix:
             for j in range(i + 1, self.n)
             if self.entries[i, j]
         ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AdjacencyMatrix)
-            and self.d == other.d
-            and self.n == other.n
-            and self.key() == other.key()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.n, self.key()))
 
     def __repr__(self) -> str:
         return f"AdjacencyMatrix(d={self.d}, n={self.n}, edges={self.edges()!r})"
@@ -110,14 +95,19 @@ def _move_images(code: np.ndarray, n: int, d: int) -> Iterator[np.ndarray]:
     is a table of d or d^3 entries on those axes, and an image is a copy of
     the grid plus the broadcast sum of its move's tables.
 
+    For qubits every move is L_{v,1}, which flips entry (i, j) exactly when
+    a_vi = a_vj = 1; bit k of a code is the entry of pair k, so the image is
+    grid ^ mask_v, where mask_v = XOR over i < j of a_vi a_vj place[i, j] is a
+    table of 2^(n-1) entries on the axes of row v, one full-grid pass in all.
+
     A table on one of the grid's last axes would leave numpy inner loops of
     a few entries, so the grid is viewed as a head of (d,) axes and one
     contiguous tail axis of d^t lanes that merges the last t = pairs // 2
-    axes, when d^t >= 64 (else t = 0 and the tail is one lane).  The digit
-    of a tail pair is laid over the whole tail, so every table that reads a
-    tail digit comes out materialized over all d^t lanes and its add runs
-    them contiguously; a table on head axes only broadcasts along the tail
-    as before.  The sums are the same, so are the images, bitwise.
+    axes, when d^t >= 64 (else t = 0 and the tail is one lane).  A table
+    that reads a tail digit is laid over the whole tail, so it comes out
+    materialized over all d^t lanes and its add (or XOR) runs them
+    contiguously; a table on head axes only broadcasts along the tail.  The
+    sums are the same, so are the images, bitwise.
 
     Besides its image a move holds one table at a time, and no table
     outgrows the grid: it spans d entries per head axis it reads, times d^t
@@ -134,15 +124,36 @@ def _move_images(code: np.ndarray, n: int, d: int) -> Iterator[np.ndarray]:
         tail = 0
     head = len(pairs) - tail
     grid = code.reshape((d,) * head + (d**tail,))
-    place, digit = {}, {}
+
+    def lay(table: np.ndarray, axes: list[int]) -> np.ndarray:
+        """A table with one axis per pair in `axes` (ascending), in the grid's layout."""
+        a = table.reshape([d if k in axes else 1 for k in range(len(pairs))])
+        if axes and axes[-1] >= head:
+            a = np.broadcast_to(a, a.shape[:head] + (d,) * tail)
+        return a.reshape(a.shape[:head] + (-1,))
+
+    place = {}
     for k, (i, j) in enumerate(pairs):
         place[i, j] = place[j, i] = d ** (len(pairs) - 1 - k)
-        axes = [d if m == k else 1 for m in range(len(pairs))]
-        a = np.arange(d, dtype=code.dtype).reshape(axes)
-        if k >= head:
-            a = np.broadcast_to(a, a.shape[:head] + (d,) * tail)
-        digit[i, j] = digit[j, i] = a.reshape(a.shape[:head] + (-1,))
 
+    if d == 2:
+        # Bit p of x is a_vu for the p-th vertex u != v, in the order of row v's pairs,
+        # and mask[v, x] sums a_vu a_vw place[u, w] over u < w: distinct powers of 2,
+        # so the sum is their XOR.
+        upper = np.zeros((n, n), dtype=code.dtype)
+        upper[np.triu_indices(n, 1)] = [place[pair] for pair in pairs]
+        others = np.array([[u for u in range(n) if u != v] for v in range(n)], dtype=np.intp)
+        bit = np.indices((2,) * (n - 1), dtype=code.dtype).reshape(n - 1, 2 ** (n - 1))
+        table = upper[others[:, :, None], others[:, None, :]] @ bit
+        mask = (table * bit).sum(axis=1, dtype=code.dtype).reshape((n,) + (2,) * (n - 1))
+        for v in range(n):
+            row = [k for k, pair in enumerate(pairs) if v in pair]
+            yield (grid ^ lay(mask[v], row)).ravel()
+        return
+
+    digit = {}
+    for k, (i, j) in enumerate(pairs):
+        digit[i, j] = digit[j, i] = lay(np.arange(d, dtype=code.dtype), [k])
     for v in range(n):
         others = [u for u in range(n) if u != v]
         for b in range(2, d):
@@ -159,50 +170,81 @@ def _move_images(code: np.ndarray, n: int, d: int) -> Iterator[np.ndarray]:
             yield img.ravel()
 
 
-def enumerate_classes(n: int, d: int) -> OrbitCatalog:
-    """Partition all n-vertex adjacency matrices over F_d into M/L orbits.
+def _take(source: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = source[index], half of `index` at a time.
 
-    Each matrix is coded as the integer whose base-d digits are its
-    upper-triangle entries in row-major pair order, first pair most
-    significant.  Codes then count in `itertools.product` order, which is
-    also the byte order of `AdjacencyMatrix.key()`: two matrices first
-    differ at an upper-triangle entry, and every entry before it in the
-    row-major bytes mirrors an earlier pair.  So the smallest code of an
-    orbit is its lexicographic representative.
+    np.take copies its indices to intp, twice the size of int32 codes, so a
+    half keeps that copy within one code vector.  Every code is in range, so
+    mode "clip" changes nothing; "raise" would buffer `out` as well.
+    """
+    half = -(-len(index) // 2)
+    source.take(index[:half], out=out[:half], mode="clip")
+    source.take(index[half:], out=out[half:], mode="clip")
+    return out
+
+
+def _orbit_labels(n: int, d: int, total: int) -> np.ndarray:
+    """Label every code of the register with the smallest code of its orbit.
 
     Orbits are the connected components of the move graph, found by
     min-label sweeps: every code starts labelled by itself, each move sets
     label = min(label, label[image]), and pointer jumping (label =
     label[label]) follows; sweeps repeat until one changes nothing.  Every
     move's inverse is a move too, so the fixed point labels each code with
-    the smallest code of its orbit.  Each sweep rebuilds every image from
-    the code grid and small tables, without division (`_move_images`), and
-    drops it once used: the codes, the labels, the labels before the sweep,
-    one image and its gathered labels are the only code-length vectors
-    alive at a time.
+    the smallest code of its orbit.  Labels only fall, so a sweep changed
+    nothing exactly when it left the labels' sum as it was.  Each sweep
+    rebuilds every image from the code grid and small tables, without
+    division (`_move_images`), and drops it once used; the labels of an
+    image are gathered into one buffer kept for the whole call (`_take`).
+    So the codes, the labels, that buffer, one image and either the next
+    image or the intp copy of half an image that `np.take` makes are the
+    only code-length vectors alive at a time.
+    """
+    # Table arithmetic stays below total * d (a product of two digits when n = 2).
+    code = np.arange(total, dtype=np.int32 if total * d <= np.iinfo(np.int32).max else np.int64)
+    label = code.copy()
+    gathered = np.empty_like(label)
+    weight = label.sum(dtype=np.int64)
+    while True:
+        before = weight
+        for img in _move_images(code, n, d):
+            np.minimum(label, _take(label, img, gathered), out=label)
+        weight = label.sum(dtype=np.int64)
+        while True:
+            jumped = _take(label, label, gathered).sum(dtype=np.int64)
+            if jumped == weight:
+                break
+            label, gathered, weight = gathered, label, jumped
+        if weight == before:
+            return label
+
+
+def enumerate_classes(n: int, d: int) -> OrbitCatalog:
+    """Partition all n-vertex adjacency matrices over F_d into M/L orbits.
+
+    Each matrix is coded as the integer whose base-d digits are its
+    upper-triangle entries in row-major pair order, first pair most
+    significant.  Codes then count in `itertools.product` order, which is
+    the lexicographic order of the upper-triangle entries read row by row;
+    it is also the lexicographic order of the full matrices read row by
+    row, since every entry before the first upper-triangle difference
+    mirrors an earlier pair.  So the smallest code of an orbit, the label
+    `_orbit_labels` gives all its codes, is its lexicographic
+    representative.  Counting the labels gives each orbit's size, and the
+    labels that occur, in increasing order, are the representatives; the
+    count holds the labels, np.bincount's intp copy of them and its int64
+    counts, five code-length vectors as at the peak of the sweeps.
     """
     d = require_prime(d)
     if n < 1:
         raise ValueError("need at least one vertex")
     pairs = n * (n - 1) // 2
-    what = f"matrices at (n={n}, d={d}) exceed the enumeration budget"
+    what = f"matrices at (n={write_count(n)}, d={d}) exceed the enumeration budget"
     total = require_count([(d, pairs)], DEFAULT_ENUM_BUDGET, what)
     place_values = d ** np.arange(pairs - 1, -1, -1, dtype=np.int64)
-    # Table arithmetic stays below total * d (a product of two digits when n = 2).
-    code = np.arange(total, dtype=np.int32 if total * d <= np.iinfo(np.int32).max else np.int64)
-    label = code.copy()
-    while True:
-        before = label.copy()
-        for img in _move_images(code, n, d):
-            np.minimum(label, label[img], out=label)
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-        if np.array_equal(label, before):
-            break
-    reps, sizes = np.unique(label, return_counts=True)
+    counts = np.bincount(_orbit_labels(n, d, total))
+    reps = np.flatnonzero(counts)
+    sizes = counts[reps]
     # Digits in pair order (row-major, first pair most significant) fill the upper triangles.
     rows, cols = np.triu_indices(n, 1)
     upper = np.zeros((len(reps), n, n), dtype=np.int64)
