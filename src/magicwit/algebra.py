@@ -3,8 +3,7 @@
 At this scale (single-site dimension at most 7, full registers below a
 hundred amplitudes) dense numpy arrays are the simplest correct
 representation; no sparse or tableau machinery is used.  The see-saw's
-random start bases and its state step's leading eigenvector are computed
-here.
+random start bases are drawn here, and reflected onto a planned start.
 """
 
 from __future__ import annotations
@@ -54,18 +53,6 @@ def is_unitary(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-8)
 
 
-def top_eigvec(op: np.ndarray) -> np.ndarray:
-    """Leading eigenvector of the Hermitian part of each op (R, n, n).
-
-    Among eigenvalues within 1e-12 of the top, the vector with the largest
-    |first component| wins, the lowest index on ties.
-    """
-    vals, vecs = np.linalg.eigh(0.5 * (op + op.conj().swapaxes(-1, -2)))
-    score = np.where(vals >= vals[:, -1:] - 1e-12, np.abs(vecs[:, 0, :]), -1.0)
-    best = np.argmax(score, axis=1)
-    return np.ascontiguousarray(np.take_along_axis(vecs, best[:, None, None], axis=2)[..., 0])
-
-
 def random_bases(rngs, d: int, m: int) -> np.ndarray:
     """m random orthonormal bases (columns) per generator, stacked (R, m, d, d).
 
@@ -83,3 +70,18 @@ def random_bases(rngs, d: int, m: int) -> np.ndarray:
     q, r = np.linalg.qr(g[:, :, 0] + 1j * g[:, :, 1])
     ph = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (ph / np.abs(ph))[..., None, :]
+
+
+def reflect(v: np.ndarray, phi: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Householder reflections of the bases v (..., d, d) taking column k to phi, up to a phase.
+
+    One unit vector phi (d,) serves every basis.  Each column c goes to
+    -e^(i arg <phi|c>) phi, so the reflection vector u = c + e^(i arg <phi|c>) phi
+    has |u|^2 = 2 + 2 |<phi|c>| >= 2 and no cancellation.  The other columns
+    stay orthonormal to it.
+    """
+    c = np.take_along_axis(v, k[..., None, None], axis=-1)[..., 0]
+    u = c + np.exp(1j * np.angle(np.einsum("...p,...p->...", c, phi.conj())))[..., None] * phi
+    scale = 2.0 / np.einsum("...p,...p->...", u.conj(), u).real
+    uv = np.einsum("...p,...pa->...a", u.conj(), v)
+    return v - (scale[..., None] * u)[..., :, None] * uv[..., None, :]

@@ -84,7 +84,24 @@ class OrbitCatalog:
         return len(self.representatives)
 
 
-def _move_images(code: np.ndarray, n: int, d: int) -> Iterator[np.ndarray]:
+def _qubit_masks(n: int, dtype) -> np.ndarray:
+    """mask[v, x] (n, 2^(n-1)): the code bits an L move at v flips when row v's bits read x.
+
+    Bit p of x is a_vu for the p-th vertex u != v, in the order of row v's
+    pairs, and mask[v, x] sums a_vu a_vw 2^(pairs - 1 - k) over the pairs
+    k = (u, w), u < w: distinct powers of 2, so the sum is their XOR.
+    """
+    upper = np.zeros((n, n), dtype=dtype)
+    upper[np.triu_indices(n, 1)] = 2 ** np.arange(n * (n - 1) // 2 - 1, -1, -1)
+    others = np.array([[u for u in range(n) if u != v] for v in range(n)], dtype=np.intp)
+    bit = np.indices((2,) * (n - 1), dtype=dtype).reshape(n - 1, 2 ** (n - 1))
+    table = upper[others[:, :, None], others[:, None, :]] @ bit
+    return (table * bit).sum(axis=1, dtype=dtype)
+
+
+def _move_images(
+    code: np.ndarray, n: int, d: int, mask: np.ndarray | None
+) -> Iterator[np.ndarray]:
     """Yield the code -> code image of every M and L move, one at a time.
 
     The codes count in row-major base-d order, so code.reshape((d,) * pairs)
@@ -97,8 +114,10 @@ def _move_images(code: np.ndarray, n: int, d: int) -> Iterator[np.ndarray]:
 
     For qubits every move is L_{v,1}, which flips entry (i, j) exactly when
     a_vi = a_vj = 1; bit k of a code is the entry of pair k, so the image is
-    grid ^ mask_v, where mask_v = XOR over i < j of a_vi a_vj place[i, j] is a
-    table of 2^(n-1) entries on the axes of row v, one full-grid pass in all.
+    grid ^ mask[v], where mask[v] = XOR over i < j of a_vi a_vj place[i, j] is
+    a table of 2^(n-1) entries on the axes of row v (`_qubit_masks`, built
+    once per enumeration and passed in; None for odd d), one full-grid pass
+    in all.
 
     A table on one of the grid's last axes would leave numpy inner loops of
     a few entries, so the grid is viewed as a head of (d,) axes and one
@@ -114,9 +133,11 @@ def _move_images(code: np.ndarray, n: int, d: int) -> Iterator[np.ndarray]:
     if it reads a tail digit, so at most d^head * d^t = total, and d^3 when
     it reads no tail digit (L tables need n >= 3, hence d^3 <= total).  The
     tail digits hold pairs * d^t entries more, with d^t <= sqrt(total).
-    Tables are rebuilt on every call, that is every sweep, rather than kept:
-    at n = 3 each L table is as large as the grid, so keeping them all would
-    hold 3 (d - 1) grids.
+    Odd-d tables are rebuilt on every call, that is every sweep, rather than
+    kept: at n = 3 each L table is as large as the grid, so keeping them all
+    would hold 3 (d - 1) grids.  The qubit masks take 2^(n-1) entries per
+    vertex, far below one grid, and only their layout over the lanes is
+    made per move.
     """
     pairs = list(itertools.combinations(range(n), 2))
     tail = len(pairs) // 2
@@ -137,15 +158,6 @@ def _move_images(code: np.ndarray, n: int, d: int) -> Iterator[np.ndarray]:
         place[i, j] = place[j, i] = d ** (len(pairs) - 1 - k)
 
     if d == 2:
-        # Bit p of x is a_vu for the p-th vertex u != v, in the order of row v's pairs,
-        # and mask[v, x] sums a_vu a_vw place[u, w] over u < w: distinct powers of 2,
-        # so the sum is their XOR.
-        upper = np.zeros((n, n), dtype=code.dtype)
-        upper[np.triu_indices(n, 1)] = [place[pair] for pair in pairs]
-        others = np.array([[u for u in range(n) if u != v] for v in range(n)], dtype=np.intp)
-        bit = np.indices((2,) * (n - 1), dtype=code.dtype).reshape(n - 1, 2 ** (n - 1))
-        table = upper[others[:, :, None], others[:, None, :]] @ bit
-        mask = (table * bit).sum(axis=1, dtype=code.dtype).reshape((n,) + (2,) * (n - 1))
         for v in range(n):
             row = [k for k, pair in enumerate(pairs) if v in pair]
             yield (grid ^ lay(mask[v], row)).ravel()
@@ -204,10 +216,11 @@ def _orbit_labels(n: int, d: int, total: int) -> np.ndarray:
     code = np.arange(total, dtype=np.int32 if total * d <= np.iinfo(np.int32).max else np.int64)
     label = code.copy()
     gathered = np.empty_like(label)
+    mask = _qubit_masks(n, code.dtype) if d == 2 else None
     weight = label.sum(dtype=np.int64)
     while True:
         before = weight
-        for img in _move_images(code, n, d):
+        for img in _move_images(code, n, d, mask):
             np.minimum(label, _take(label, img, gathered), out=label)
         weight = label.sum(dtype=np.int64)
         while True:

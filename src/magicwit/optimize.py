@@ -24,14 +24,25 @@ of a product state starts there; the monotone steps then keep it at its
 maximum.  Past `bell.DEFAULT_STRATEGY_BUDGET` there is no plan, and those
 restarts start at random like any other.
 
-The unrestricted quantum value alternates measurement sweeps with an exact
-state update (top eigenvector of the Bell operator).  Every step is
-monotone, so each restart's trace is non-decreasing.
+The unrestricted quantum value alternates measurement sweeps with a state
+step.  The Bell operator is B = conj(K) diag(w) K^T, where K is the outer
+product of the parties' conjugated stacks (one column per setting and
+outcome tuple) and w the coefficients, so K^T psi holds psi's amplitudes
+and B psi = conj(K) (w * K^T psi) is two matmuls: B itself is never formed.
+The state step is Rayleigh-Ritz over the Krylov block {psi, B psi, B^2 psi}
+(`KRYLOV_BLOCK` vectors): the block is orthonormalized by QR, and the new
+state is the top eigenvector of the block's small Gram matrix
+Q^H B Q = (K^T Q)^H diag(w) (K^T Q).  The block contains psi, so the step
+never lowers <psi|B|psi> (Liang & Doherty, PRA 75, 042103 (2007), with
+the exact eigenvector traded for this cheaper ascent step).  With a free
+state, the qudit basis step also repeats `BASIS_REPEATS` times on each
+party's environments, which involve none of its bases, so a sweep climbs
+further per state step.  Every step is monotone, so each restart's trace
+is non-decreasing.
 
 Every Born-rule contraction (the objective, a party's environments) goes
 through one kernel, `bell.amplitudes`: one batched matmul per party against
-that party's stacked bases.  The Bell operator needs none: its factor K is
-the outer product of the parties' conjugated stacks.
+that party's stacked bases.  K needs none.
 
 A party's step is valued from its own environments: the objective is
 sum_s sum_a <v_sa|B_sa|v_sa> plus terms free of the party's bases, so the
@@ -39,7 +50,7 @@ trace gains the change in each setting's sum, one entry per setting, and no
 Born-rule contraction of the whole objective runs inside a sweep.  The
 accumulated trace is checked against the Born rule (`_objective`) at the
 end of every fixed-state restart.  With a free state it is checked against
-<psi|B|psi> of the Bell operator before every state step, and the state step
+<psi|B|psi> = sum w |K^T psi|^2 before every state step, and the state step
 re-anchors it to `_objective`, which also values the restart.
 
 Every see-saw array has a leading row axis, one row per (state, restart)
@@ -70,6 +81,10 @@ MAX_SWEEPS = 500
 STOP_TOL = 1e-9
 # Most restarts per see-saw: `_rows` spawns them all, and a job's batches stay alive to its last.
 MAX_RESTARTS = 1024
+# Vectors of the free-state step's Krylov block {psi, B psi, B^2 psi}.
+KRYLOV_BLOCK = 3
+# Qudit basis steps per party step on the environments of a free-state sweep.
+BASIS_REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -134,10 +149,11 @@ class OptimizationReport:
 # Inner see-saw machinery
 # ---------------------------------------------------------------------------
 
-# Entries of the largest see-saw array, the Bell operator's K: rows x
-# register x prod_i m_i d_i.  `_best_of_restarts` runs the (state, restart) rows
-# in batches that stay under it; a row whose own K is over it runs alone, over
-# budget.
+# Entries of the largest see-saw array, the free-state step's factor K: rows x
+# register x prod_i m_i d_i.  The step applies the Bell operator through K and
+# forms nothing larger: its other arrays hold KRYLOV_BLOCK vectors per row.
+# `_best_of_restarts` runs the (state, restart) rows in batches that stay under
+# it; a row whose own K is over it runs alone, over budget.
 SEESAW_BUDGET = 1 << 20
 # Entries of one restart's K (register^2 x prod_i m_i).  Over it, the see-saw
 # exits with ResourceLimitError before it allocates anything.
@@ -203,43 +219,33 @@ def _environments(c, w) -> np.ndarray:
     return b.reshape(rows, -1, d, d, d)
 
 
-def _basis_update(bh: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One monotone alignment step per basis, bh (..., d, d, d), basis v (..., d, d).
+def _basis_update(bh: np.ndarray, v: np.ndarray, repeats: int = 1) -> np.ndarray:
+    """Monotone alignment steps per basis, bh (..., d, d, d), basis v (..., d, d).
 
     For d = 2 the step is exact: the value is tr B_1 + <v_0|B_0 - B_1|v_0>,
     maximized by the eigenbasis of B_0 - B_1 with the top vector first.
     Otherwise it shifts the outcome operators positive semidefinite,
     maximizes the linearized cross term over unitaries via the SVD, then
     searches the d cyclic relabelings t, scored by sum_a G[a, (a + t) mod d]
-    with G[a, c] = <v_c|B_a|v_c>; ties go to the smallest t.
+    with G[a, c] = <v_c|B_a|v_c>; ties go to the smallest t.  That step runs
+    `repeats` times, each from the last one's basis on the same operators,
+    so the shift, which reads only them, is found once; each repeat is
+    monotone by the same argument (a minorize-maximize step, Hunter &
+    Lange, Am. Stat. 58, 30 (2004)).
     """
     d = v.shape[-1]
     if d == 2:
         return np.linalg.eigh(bh[..., 0, :, :] - bh[..., 1, :, :])[1][..., ::-1]
-    lam = np.linalg.eigvalsh(bh).min(axis=(-2, -1))
-    w = np.einsum("...apq,...qa->...pa", bh, v) - lam[..., None, None] * v
-    p, _, qh = np.linalg.svd(w)
-    vnew = p @ qh
-    g = np.einsum("...pc,...apq,...qc->...ac", vnew.conj(), bh, vnew).real
+    lam = np.linalg.eigvalsh(bh).min(axis=(-2, -1))[..., None, None]
     a = np.arange(d)
     cols = (a[None, :] + a[:, None]) % d
-    best = np.argmax(g[..., a, cols].sum(axis=-1), axis=-1)
-    return np.take_along_axis(vnew, cols[best][..., None, :], axis=-1)
-
-
-def _reflect(v: np.ndarray, phi: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Householder reflections of the bases v (..., d, d) taking column k to phi, up to a phase.
-
-    One unit vector phi (d,) serves every basis.  Each column c goes to
-    -e^(i arg <phi|c>) phi, so the reflection vector u = c + e^(i arg <phi|c>) phi
-    has |u|^2 = 2 + 2 |<phi|c>| >= 2 and no cancellation.  The other columns
-    stay orthonormal to it.
-    """
-    c = np.take_along_axis(v, k[..., None, None], axis=-1)[..., 0]
-    u = c + np.exp(1j * np.angle(np.einsum("...p,...p->...", c, phi.conj())))[..., None] * phi
-    scale = 2.0 / np.einsum("...p,...p->...", u.conj(), u).real
-    uv = np.einsum("...p,...pa->...a", u.conj(), v)
-    return v - (scale[..., None] * u)[..., :, None] * uv[..., None, :]
+    for _ in range(repeats):
+        p, _, qh = np.linalg.svd(np.einsum("...apq,...qa->...pa", bh, v) - lam * v)
+        v = p @ qh
+        g = np.einsum("...pc,...apq,...qc->...ac", v.conj(), bh, v).real
+        best = np.argmax(g[..., a, cols].sum(axis=-1), axis=-1)
+        v = np.take_along_axis(v, cols[best][..., None, :], axis=-1)
+    return v
 
 
 def _unit(coeffs: np.ndarray) -> float:
@@ -278,16 +284,36 @@ def _random_basis(rng: np.random.Generator, d: int) -> np.ndarray:
     return algebra.random_bases([rng], d, 1)[0, 0]
 
 
-def _bell_operator(bases, coeffs) -> np.ndarray:
-    """sum_(x,a) w[a, x] |b_xa><b_xa| per restart; K[R, Q, xa] = prod_i conj(b_i[x_i][q_i, a_i])."""
+def _bell_operator(bases, coeffs):
+    """The Bell operator B = conj(K) diag(w) K^T per restart, as its factor K and weights w.
+
+    K[R, Q, xa] = prod_i conj(b_i[x_i][q_i, a_i]), so (K^T psi)[xa] =
+    <b_xa|psi>, and w[xa] = I[a|x]: <psi|B|psi> = sum w |K^T psi|^2 is the
+    Bell value.  B itself is never formed.
+    """
     n = len(bases)
     k = np.ones((len(bases[0]), 1, 1))
     for b in bases:
         rows, m, d, _ = b.shape
         g = np.conj(b).transpose(0, 2, 1, 3).reshape(rows, 1, d, 1, m * d)
         k = (k[:, :, None, :, None] * g).reshape(rows, k.shape[1] * d, -1)
-    w = coeffs.transpose([ax for i in range(n) for ax in (n + i, i)]).reshape(-1)
-    return (k.conj() * w) @ k.swapaxes(-1, -2)
+    return k, coeffs.transpose([ax for i in range(n) for ax in (n + i, i)]).reshape(-1)
+
+
+def _state_step(k, w, psi):
+    """Rayleigh-Ritz over {psi, B psi, ...} for B = conj(K) diag(w) K^T, psi (R, 1, dim).
+
+    Row j of the block is B^j psi, and a row times K is K^T of it.  Returns
+    the new states (R, dim, 1) and the old ones' <psi|B|psi>: q's first
+    column is psi up to its sign and norm, so gram[0, 0] = sum w |K^T psi|^2.
+    """
+    block = [psi]
+    for _ in range(1, KRYLOV_BLOCK):
+        block.append(np.conj(np.conj(w * (block[-1] @ k)) @ k.swapaxes(-1, -2)))
+    q = np.linalg.qr(np.concatenate(block, axis=1).swapaxes(-1, -2))[0]
+    amp = q.swapaxes(-1, -2) @ k
+    gram = np.conj(amp) @ (w * amp).swapaxes(-1, -2)
+    return q @ np.linalg.eigh(gram)[1][..., -1:], gram[:, 0, 0].real
 
 
 def _restarts(coeffs, outcomes, settings, psi, seeds, starts):
@@ -317,7 +343,7 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, starts):
     bases = [algebra.random_bases(rngs, d, m) for d, m in zip(outcomes, settings)]
     for r, start in enumerate(starts):
         for b, (phi, outs) in zip(bases, start or ()):
-            b[r] = _reflect(b[r], phi, outs)
+            b[r] = algebra.reflect(b[r], phi, outs)
     value = _objective(psi_t, bases, coeffs)
     sweeps = [(list(range(len(rngs))), value[:, None].copy())]
     blocks = [_coefficient_block(coeffs, i) for i in range(len(bases))]
@@ -332,16 +358,15 @@ def _restarts(coeffs, outcomes, settings, psi, seeds, starts):
             env = _environments(_contractions(sub_t, sub, i), w)
             env = 0.5 * (env + np.conj(env.swapaxes(-1, -2)))
             old = _active_value(env, sub[i])
-            sub[i] = _basis_update(env, sub[i])
+            sub[i] = _basis_update(env, sub[i], BASIS_REPEATS if free_state else 1)
             # One trace entry per setting, as if the settings stepped in turn.
             for gain in (_active_value(env, sub[i]) - old).T:
                 _ascend(trace, trace[-1] + gain, "step", unit)
         if free_state:
-            op = _bell_operator(sub, coeffs)
-            vec = sub_t.reshape(len(rows), -1)
+            vec, before = _state_step(*_bell_operator(sub, coeffs), sub_t.reshape(len(rows), 1, -1))
             # The state step re-anchors the trace, so check the sweep's first.
-            _require_on_trace(trace[-1], np.einsum("Rp,Rpq,Rq->R", vec.conj(), op, vec).real, unit)
-            psi_t[rows] = sub_t = algebra.top_eigvec(op).reshape(sub_t.shape)
+            _require_on_trace(trace[-1], before, unit)
+            psi_t[rows] = sub_t = vec.reshape(sub_t.shape)
             _ascend(trace, _objective(sub_t, sub, coeffs), "state step", unit)
         for b, new in zip(bases, sub):
             b[rows] = new
@@ -495,9 +520,10 @@ def quantum_value(
 ) -> OptimizationReport:
     """Maximum Bell value over all states of the fixed register.
 
-    Alternates measurement sweeps with an exact state update.  This is a
-    lower bound on the maximum over arbitrary Hilbert spaces: the register
-    is pinned to one copy of each party's outcome dimension.
+    Alternates measurement sweeps with a monotone state step (Rayleigh-Ritz
+    on a Krylov block of the Bell operator).  This is a lower bound on the
+    maximum over arbitrary Hilbert spaces: the register is pinned to one
+    copy of each party's outcome dimension.
     """
     jobs = [(None, np.random.SeedSequence(cfg.seed))]
     return next(_best_of_restarts(ineq, jobs, cfg, "optimized state"))

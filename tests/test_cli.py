@@ -298,6 +298,15 @@ def test_seed_comes_only_from_the_flag():
     assert json.loads(out.stdout)["manifest"]["seed"] == 0
 
 
+def test_stdout_does_not_depend_on_blas_threads():
+    # The see-saw's matmuls, QR and eigensolvers run in BLAS and LAPACK; the
+    # bytes a run prints must not depend on how many threads those use.
+    args = ["bounds", "cglmp", "--d", "5", *FAST]
+    outs = [run_cli(args, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]
+    assert [out.returncode for out in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+
+
 def test_negative_seed_is_user_error_before_any_work(capsys):
     # The seed is checked with the other see-saw settings, before the local
     # bound or any grid point runs.

@@ -9,6 +9,7 @@ from magicwit.errors import ResourceLimitError
 from magicwit.graphs import (
     AdjacencyMatrix,
     _move_images,
+    _qubit_masks,
     cluster_representatives,
     enumerate_classes,
 )
@@ -225,8 +226,9 @@ def test_move_images_match_division_oracle(n, d):
     # are compared as they come, so only one of each is alive.
     for dtype in (np.int32,) if (n, d) == (7, 2) else (np.int32, np.int64):
         code = np.arange(d ** len(pairs), dtype=dtype)
+        mask = _qubit_masks(n, dtype) if d == 2 else None
         images = itertools.zip_longest(
-            _move_images(code, n, d), move_images_by_division(code, n, d, place)
+            _move_images(code, n, d, mask), move_images_by_division(code, n, d, place)
         )
         count = 0
         for g, w in images:

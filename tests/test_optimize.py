@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicwit import optimize
-from magicwit.algebra import random_bases, top_eigvec
+from magicwit.algebra import random_bases
 from magicwit.bell import (
     BellInequality,
     behavior_from_state,
@@ -188,8 +188,14 @@ def test_quantum_value_tilted_one():
 
 
 def test_quantum_value_cglmp3():
+    # The optimum of Acin, Durt, Gisin & Latorre, PRA 65, 052325 (2002).
     rep = quantum_value(catalog_cglmp(3), CFG)
-    assert rep.value == pytest.approx(2.9149, abs=1e-3)
+    assert abs(rep.value - (1.0 + np.sqrt(11.0 / 3.0))) <= optimize.STOP_TOL
+
+
+def test_quantum_value_cglmp5_restarts_all_converge():
+    rep = quantum_value(catalog_cglmp(5), OptimizerConfig(restarts=64, seed=5))
+    assert all(rep.restart_converged)
 
 
 def test_seesaw_traces_are_monotone():
@@ -273,24 +279,54 @@ def _random_states(rng, outcomes):
     return (psi / np.linalg.norm(psi, axis=1, keepdims=True)).reshape(ROWS, *outcomes)
 
 
+def _random_inequality(rng, outcomes):
+    settings = (2, 3, 2)[: len(outcomes)]
+    return BellInequality(outcomes, settings, rng.uniform(-1.0, 1.0, outcomes + settings))
+
+
 @pytest.mark.parametrize("outcomes", [(3, 3), (2, 3), (2, 2, 2), (2, 2)])
 def test_bell_operator_matches_born_rule(outcomes):
-    # <psi|B|psi> is the Bell value of the Born-rule behavior, and B is the
-    # sum over setting tuples of Kronecker products; on the mixed (2, 3)
-    # register this also pins the order of the Kronecker factors.
+    # conj(K) diag(w) K^T is the sum over setting tuples of Kronecker
+    # products, and sum w |K^T psi|^2 is the Bell value of the Born-rule
+    # behavior; on the mixed (2, 3) register this also pins the order of the
+    # Kronecker factors.
     rng = np.random.default_rng(sum(outcomes))
-    settings = (2, 3, 2)[: len(outcomes)]
-    ineq = BellInequality(outcomes, settings, rng.uniform(-1.0, 1.0, outcomes + settings))
+    ineq = _random_inequality(rng, outcomes)
     for _ in range(2):
-        rows, stacks = _random_rows(rng, outcomes, settings)
-        ops = optimize._bell_operator(stacks, ineq.coeffs)
-        assert ops.shape[0] == ROWS
-        for op, bases, psi in zip(ops, rows, _random_states(rng, outcomes)):
+        rows, stacks = _random_rows(rng, outcomes, ineq.settings)
+        ks, w = optimize._bell_operator(stacks, ineq.coeffs)
+        assert ks.shape == (ROWS, np.prod(outcomes), w.size)
+        for k, bases, psi in zip(ks, rows, _random_states(rng, outcomes)):
             psi = psi.reshape(-1)
-            assert np.max(np.abs(op - op.conj().T)) <= 1e-12
+            op = np.conj(k) @ (w[:, None] * k.T)
             assert np.max(np.abs(op - _bell_operator_by_kron(bases, ineq.coeffs))) <= 1e-12
             want = evaluate(ineq, behavior_from_state(psi, bases))
-            assert abs(np.vdot(psi, op @ psi) - want) <= 1e-12
+            assert abs(np.sum(w * np.abs(k.T @ psi) ** 2) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("outcomes", [(2, 2), (3, 3), (2, 3), (2, 2, 2)])
+def test_state_step_is_rayleigh_ritz_on_the_krylov_block(outcomes):
+    # Against the dense operator: the step's state is the top Ritz vector of
+    # {psi, B psi, B^2 psi}, so it never lowers <psi|B|psi> and never passes
+    # the top eigenvalue; a state already at the top stays there, although
+    # its block then has rank 1.
+    rng = np.random.default_rng(10 + sum(outcomes))
+    ineq = _random_inequality(rng, outcomes)
+    rows, stacks = _random_rows(rng, outcomes, ineq.settings)
+    ops = [_bell_operator_by_kron(bases, ineq.coeffs) for bases in rows]
+    tops = np.stack([np.linalg.eigh(op)[1][:, -1] for op in ops])
+    k, w = optimize._bell_operator(stacks, ineq.coeffs)
+    for psis in (_random_states(rng, outcomes).reshape(ROWS, -1), tops):
+        new, before = optimize._state_step(k, w, psis[:, None])
+        assert new.shape == (*psis.shape, 1)
+        for op, psi, vec, old in zip(ops, psis, new[..., 0], before):
+            value = np.vdot(vec, op @ vec).real
+            assert abs(old - np.vdot(psi, op @ psi).real) <= 1e-12
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+            block = [np.linalg.matrix_power(op, j) @ psi for j in range(optimize.KRYLOV_BLOCK)]
+            q = np.linalg.qr(np.column_stack(block))[0]
+            assert abs(value - np.linalg.eigvalsh(q.conj().T @ op @ q)[-1]) <= 1e-10
+            assert old - 1e-12 <= value <= np.linalg.eigvalsh(op)[-1] + 1e-12
 
 
 def _score(b, u):
@@ -438,6 +474,45 @@ def test_basis_update_is_unitary_monotone_and_best_relabeled(d, seed):
         svd_basis = p @ qh
         for t in range(d):
             assert _score(bh, new) >= _score(bh, svd_basis[:, (np.arange(d) + t) % d]) - 1e-9
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_basis_update_repeats_are_the_step_in_turn(monkeypatch, d):
+    # The shift reads only the operators, so `repeats` steps find it once and
+    # are, bit for bit, the one-step update applied that many times.
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal((ROWS, d, d, d)) + 1j * rng.standard_normal((ROWS, d, d, d))
+    bhs = z + z.conj().swapaxes(-1, -2)
+    v = np.stack([_haar_unitary(rng, d) for _ in range(ROWS)])
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    got = optimize._basis_update(bhs, v, 4)
+    assert len(calls) == 1
+    for _ in range(4):
+        new = optimize._basis_update(bhs, v)
+        assert all(_score(b, n) >= _score(b, u) - 1e-9 for b, n, u in zip(bhs, new, v))
+        v = new
+    assert np.array_equal(got, v)
+
+
+@pytest.mark.parametrize(
+    "ineq", [catalog_cglmp(3), catalog_svetlichny_r2()], ids=lambda q: q.name
+)
+def test_shift_calls_per_sweep(monkeypatch, ineq):
+    # With a free state the qudit basis step repeats on each party's
+    # environments, and its eigvalsh shift runs once per environment; the
+    # qubit step needs none.
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+    seeds = np.random.SeedSequence(3).spawn(ROWS)
+    args = ineq.coeffs, ineq.outcomes, ineq.settings, None, seeds, [None] * ROWS
+    iters = optimize._restarts(*args)[3]
+    assert optimize.BASIS_REPEATS > 1
+    assert iters.max() > 1
+    qudits = sum(d > 2 for d in ineq.outcomes)
+    assert len(calls) == qudits * iters.max()
 
 
 def _haar_vector(rng, d):
@@ -589,22 +664,6 @@ def test_batched_draw_is_the_single_draw_in_turn(d):
     rng, ref = np.random.default_rng(ROWS), np.random.default_rng(ROWS)
     assert np.array_equal(optimize._random_basis(rng, d), _single_draw(ref, d))
     assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def test_top_eigvec_breaks_degenerate_ties_on_first_component():
-    # Row by row against the rule as a loop: among the eigenvectors whose
-    # eigenvalue is within 1e-12 of the top, the largest |first component|
-    # wins, the lowest index on ties.
-    rng = np.random.default_rng(5)
-    us = [_haar_unitary(rng, 4) for _ in range(ROWS)]
-    ops = np.stack([u @ np.diag([1.0, 1.0, 0.5, 0.0]) @ u.conj().T for u in us])
-    ops[1] = np.diag([0.0, 2.0, 2.0, 1.0])  # exact tie in |first component|
-    got = top_eigvec(ops)
-    for op, vec in zip(ops, got):
-        vals, vecs = np.linalg.eigh(0.5 * (op + op.conj().T))
-        idx = [k for k in range(len(vals)) if vals[k] >= vals[-1] - 1e-12]
-        assert len(idx) == 2
-        assert np.array_equal(vec, vecs[:, max(idx, key=lambda k: abs(vecs[0, k]))])
 
 
 def test_seesaw_decrease_raises_invariant_error():
