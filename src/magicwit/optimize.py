@@ -303,9 +303,11 @@ def _bell_operator(bases, coeffs):
 def _state_step(k, w, psi):
     """Rayleigh-Ritz over {psi, B psi, ...} for B = conj(K) diag(w) K^T, psi (R, 1, dim).
 
-    Row j of the block is B^j psi, and a row times K is K^T of it.  Returns
-    the new states (R, dim, 1) and the old ones' <psi|B|psi>: q's first
-    column is psi up to its sign and norm, so gram[0, 0] = sum w |K^T psi|^2.
+    Row j of the block is B^j psi, and a row times K is K^T of it; conj(K)
+    is applied as conj(conj(.) K^T), so K, the largest array, is never
+    conjugated or copied.  Returns the new states (R, dim, 1) and the old
+    ones' <psi|B|psi>: q's first column is psi up to its sign and norm, so
+    gram[0, 0] = sum w |K^T psi|^2.
     """
     block = [psi]
     for _ in range(1, KRYLOV_BLOCK):
